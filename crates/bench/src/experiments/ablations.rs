@@ -4,8 +4,8 @@
 
 use crate::Table;
 use reram_core::{
-    AcceleratorConfig, BankShape, ChipPlan, EnduranceClass, EnduranceReport, PipeLayerAccelerator,
-    PipelineModel, ReplicationPolicy,
+    AcceleratorConfig, BankShape, ChipPlan, EnduranceClass, EnduranceReport, ExecutionPlan,
+    PipeLayerAccelerator, PipelineModel, ReplicationPolicy,
 };
 use reram_crossbar::{CrossbarConfig, TiledMatrix};
 use reram_nn::models;
@@ -189,7 +189,6 @@ pub fn readout_schemes() -> Table {
 
 /// Training-energy breakdown by component (where a training joule goes).
 pub fn energy_breakdown() -> Table {
-    use reram_core::timing::NetworkTiming;
     let mut t = Table::new([
         "network",
         "forward",
@@ -203,8 +202,10 @@ pub fn energy_breakdown() -> Table {
         models::alexnet_spec(),
         models::vgg_a_spec(),
     ] {
-        let timing = NetworkTiming::analyze(&net, &AcceleratorConfig::default());
-        let b = timing.training_energy_breakdown(512, 16);
+        let plan = ExecutionPlan::lower(&net, &AcceleratorConfig::default())
+            // lint:allow(panic) zoo networks lower under the default config
+            .expect("zoo network lowers under default config");
+        let b = plan.training_energy_breakdown(512, 16);
         let pct = |x: f64| format!("{:.1}%", 100.0 * x / b.total_j());
         t.row([
             net.name.clone(),

@@ -7,9 +7,9 @@
 //! against [`reram_gpu::GpuModel`] reproduces the speedup / energy-saving
 //! rows of Table I.
 
-use crate::plan::{self, ExecutionPlan, PlanError};
-use crate::regan::ReganOpt;
-use crate::timing::NetworkTiming;
+use crate::pipeline::PipelineModel;
+use crate::plan::{ExecutionPlan, PlanError};
+use crate::regan::{ReganOpt, ReganPipeline};
 use crate::AcceleratorConfig;
 use reram_gpu::GpuCost;
 use reram_nn::NetworkSpec;
@@ -99,8 +99,7 @@ impl PipeLayerAccelerator {
     pub fn train_cost(&self, net: &NetworkSpec, batch: usize, n: u64) -> AccelReport {
         let mut span = Span::enter("accel/train_cost");
         let plan = self.plan_or_panic(net);
-        let timing = NetworkTiming::from_plan(&plan);
-        let pipe = plan.pipeline_model(batch);
+        let pipe = PipelineModel::new(plan.weighted_layer_count(), batch);
         let cycles = pipe.training_cycles(n);
         span.add_cycles(cycles);
         let batches = n / batch as u64;
@@ -108,10 +107,10 @@ impl PipeLayerAccelerator {
         AccelReport {
             name: format!("pipelayer-train-{}", net.name),
             cycles,
-            time_s: timing.cycles_to_seconds(compute_cycles, batches, true),
-            energy_j: timing.training_energy_j(n, batches),
-            arrays: timing.total_arrays,
-            area_mm2: timing.area_mm2,
+            time_s: plan.cycles_to_seconds(compute_cycles, batches, true),
+            energy_j: plan.training_energy_j(n, batches),
+            arrays: plan.total_arrays,
+            area_mm2: plan.area_mm2,
         }
     }
 
@@ -124,8 +123,7 @@ impl PipeLayerAccelerator {
     pub fn train_cost_sequential(&self, net: &NetworkSpec, batch: usize, n: u64) -> AccelReport {
         let mut span = Span::enter("accel/train_cost_sequential");
         let plan = self.plan_or_panic(net);
-        let timing = NetworkTiming::from_plan(&plan);
-        let pipe = plan.pipeline_model(batch);
+        let pipe = PipelineModel::new(plan.weighted_layer_count(), batch);
         let cycles = pipe.sequential_training_cycles(n);
         span.add_cycles(cycles);
         let batches = n / batch as u64;
@@ -133,10 +131,10 @@ impl PipeLayerAccelerator {
         AccelReport {
             name: format!("pipelayer-train-seq-{}", net.name),
             cycles,
-            time_s: timing.cycles_to_seconds(compute_cycles, batches, true),
-            energy_j: timing.training_energy_j(n, batches),
-            arrays: timing.total_arrays,
-            area_mm2: timing.area_mm2,
+            time_s: plan.cycles_to_seconds(compute_cycles, batches, true),
+            energy_j: plan.training_energy_j(n, batches),
+            arrays: plan.total_arrays,
+            area_mm2: plan.area_mm2,
         }
     }
 
@@ -148,17 +146,16 @@ impl PipeLayerAccelerator {
     pub fn inference_cost(&self, net: &NetworkSpec, n: u64) -> AccelReport {
         let mut span = Span::enter("accel/inference_cost");
         let plan = self.plan_or_panic(net);
-        let timing = NetworkTiming::from_plan(&plan);
-        let pipe = plan.pipeline_model(1);
+        let pipe = PipelineModel::new(plan.weighted_layer_count(), 1);
         let cycles = pipe.inference_cycles(n);
         span.add_cycles(cycles);
         AccelReport {
             name: format!("pipelayer-infer-{}", net.name),
             cycles,
-            time_s: timing.cycles_to_seconds(cycles, 0, false),
-            energy_j: timing.inference_energy_j(n),
-            arrays: timing.total_arrays,
-            area_mm2: timing.area_mm2,
+            time_s: plan.cycles_to_seconds(cycles, 0, false),
+            energy_j: plan.inference_energy_j(n),
+            arrays: plan.total_arrays,
+            area_mm2: plan.area_mm2,
         }
     }
 
@@ -232,41 +229,43 @@ impl ReGanAccelerator {
         let d_plan = ExecutionPlan::lower(discriminator, &self.config)
             // lint:allow(panic) documented contract — unliftable networks abort costing
             .unwrap_or_else(|e| panic!("cannot plan {}: {e}", discriminator.name));
-        let g_timing = NetworkTiming::from_plan(&g_plan);
-        let d_timing = NetworkTiming::from_plan(&d_plan);
-        let pipe = plan::regan_pipeline(&d_plan, &g_plan, batch);
+        let pipe = ReganPipeline::new(
+            d_plan.weighted_layer_count(),
+            g_plan.weighted_layer_count(),
+            batch,
+        );
         let cycles = pipe.total_cycles(iterations, self.opt);
         span.add_cycles(cycles);
         // Two update cycles per iteration (D and G).
         let update_cycles = 2 * iterations;
         let compute_cycles = cycles.saturating_sub(update_cycles);
-        let cycle_ns = g_timing.training_cycle_ns.max(d_timing.training_cycle_ns);
-        let update_ns = g_timing.update_cycle_ns.max(d_timing.update_cycle_ns);
+        let cycle_ns = g_plan.training_cycle_ns.max(d_plan.training_cycle_ns);
+        let update_ns = g_plan.update_cycle_ns.max(d_plan.update_cycle_ns);
         let time_s = (compute_cycles as f64 * cycle_ns + update_cycles as f64 * update_ns) * 1e-9;
 
         // Energy per iteration, in crossbar passes over B inputs each:
         // ① D fwd + D bwd, ② G fwd + D fwd + D bwd, ③ G fwd + D fwd +
         // D bwd + G bwd; CS shares ②/③'s G-fwd + D-fwd once.
         let b = batch as f64;
-        let d_pass = d_timing.forward_energy_pj + d_timing.backward_energy_pj;
-        let g_fwd = g_timing.forward_energy_pj;
+        let d_pass = d_plan.forward_energy_pj() + d_plan.backward_energy_pj();
+        let g_fwd = g_plan.forward_energy_pj();
         let shared_saving = if self.opt == ReganOpt::PipelineSpCs {
-            g_fwd + d_timing.forward_energy_pj
+            g_fwd + d_plan.forward_energy_pj()
         } else {
             0.0
         };
         let per_input = (d_pass) // ①
             + (g_fwd + d_pass) // ②
-            + (g_fwd + d_pass + g_timing.backward_energy_pj) // ③
+            + (g_fwd + d_pass + g_plan.backward_energy_pj()) // ③
             - shared_saving
-            + d_timing.buffer_energy_pj * pipe.buffer_multiplier(self.opt) as f64
-            + g_timing.buffer_energy_pj;
+            + d_plan.buffer_energy_pj * pipe.buffer_multiplier(self.opt) as f64
+            + g_plan.buffer_energy_pj;
         let d_copies = pipe.discriminator_copies(self.opt) as f64;
-        let update = d_timing.update_energy_pj * d_copies + g_timing.update_energy_pj;
+        let update = d_plan.update_energy_pj() * d_copies + g_plan.update_energy_pj();
         let energy_j = (iterations as f64 * (b * per_input + update)) * 1e-12;
 
         let arrays =
-            d_timing.total_arrays * pipe.discriminator_copies(self.opt) + g_timing.total_arrays;
+            d_plan.total_arrays * pipe.discriminator_copies(self.opt) + g_plan.total_arrays;
         AccelReport {
             name: format!(
                 "regan-{}-{}+{}",
@@ -362,6 +361,17 @@ mod tests {
         let i = a.inference_cost(&net, 1024);
         assert!(i.time_s < t.time_s);
         assert!(i.energy_j < t.energy_j);
+    }
+
+    #[test]
+    fn inference_energy_charges_two_buffer_touches_per_input() {
+        let net = models::lenet_spec();
+        let a = accel();
+        let plan = a.plan(&net).expect("lowerable");
+        let n = 1024;
+        let want =
+            n as f64 * (plan.forward_energy_pj() + plan.inference_buffer_energy_pj()) * 1e-12;
+        assert_eq!(a.inference_cost(&net, n).energy_j, want);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! backward stage consumes them, so the memory region must hold roughly one
 //! activation tensor per stage per in-flight input.
 
-use crate::mapping::{map_network, MappingError};
-use crate::timing::NetworkTiming;
+use crate::plan::{ExecutionPlan, PlanError};
 use crate::AcceleratorConfig;
 use reram_nn::NetworkSpec;
 use serde::{Deserialize, Serialize};
@@ -19,15 +18,17 @@ use serde::{Deserialize, Serialize};
 /// The typed counterpart of the asserts this module used to carry — chip
 /// planning sits on user-facing paths (experiments, the serving simulator)
 /// where a bad batch size or a degenerate bank shape should surface as a
-/// recoverable error, matching `CompileError`/`MappingError`/`PlanError`.
+/// recoverable error, matching `CompileError`/`PlanError`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ChipPlanError {
     /// The requested training batch size was zero.
     ZeroBatch,
     /// The bank shape has no morphable or no memory subarrays.
     EmptyBank,
-    /// The network could not be mapped under the replication policy.
-    Mapping(MappingError),
+    /// The network could not be lowered to an execution plan (invalid
+    /// configuration, no weighted layers, or unmappable under the
+    /// replication policy).
+    Plan(PlanError),
 }
 
 impl std::fmt::Display for ChipPlanError {
@@ -35,16 +36,16 @@ impl std::fmt::Display for ChipPlanError {
         match self {
             ChipPlanError::ZeroBatch => write!(f, "batch size must be positive"),
             ChipPlanError::EmptyBank => write!(f, "bank must contain subarrays"),
-            ChipPlanError::Mapping(e) => write!(f, "cannot map network: {e}"),
+            ChipPlanError::Plan(e) => write!(f, "cannot plan network: {e}"),
         }
     }
 }
 
 impl std::error::Error for ChipPlanError {}
 
-impl From<MappingError> for ChipPlanError {
-    fn from(e: MappingError) -> Self {
-        ChipPlanError::Mapping(e)
+impl From<PlanError> for ChipPlanError {
+    fn from(e: PlanError) -> Self {
+        ChipPlanError::Plan(e)
     }
 }
 
@@ -103,8 +104,8 @@ impl ChipPlan {
     ///
     /// Returns [`ChipPlanError::ZeroBatch`] when `batch == 0`,
     /// [`ChipPlanError::EmptyBank`] for a bank shape without subarrays, and
-    /// [`ChipPlanError::Mapping`] when the network cannot be mapped under
-    /// the configured replication policy.
+    /// [`ChipPlanError::Plan`] when the network cannot be lowered to an
+    /// [`ExecutionPlan`].
     #[must_use = "the bank placement is the result"]
     pub fn plan(
         net: &NetworkSpec,
@@ -118,19 +119,19 @@ impl ChipPlan {
         if bank.morphable_per_bank == 0 || bank.memory_per_bank == 0 {
             return Err(ChipPlanError::EmptyBank);
         }
-        let mappings = map_network(net, config)?;
-        let timing = NetworkTiming::analyze(net, config);
-        let compute_arrays: usize = mappings.iter().map(|m| m.arrays).sum();
+        let plan = ExecutionPlan::lower(net, config)?;
+        let compute_arrays = plan.total_arrays;
         let banks = compute_arrays.div_ceil(bank.morphable_per_bank);
 
         // In-flight residency: within one batch window the pipeline holds
         // up to min(B, 2L+1) inputs, and each weighted layer's forward
         // output stays buffered until the matching backward stage reads it.
-        let l = net.weighted_layer_count();
+        let l = plan.weighted_layer_count();
         let in_flight = batch.min(2 * l + 1) as u64;
-        let act_elems: u64 = net
-            .weighted_layers()
-            .map(|layer| layer.output_elems() as u64)
+        let act_elems: u64 = plan
+            .layers
+            .iter()
+            .map(|layer| layer.work.output_elems)
             .sum();
         let resident = act_elems * BYTES_PER_ELEM * in_flight;
 
@@ -146,7 +147,7 @@ impl ChipPlan {
             memory_capacity_bytes: banks as u64
                 * bank.memory_per_bank as u64
                 * bank.memory_subarray_bytes,
-            array_area_mm2: timing.area_mm2,
+            array_area_mm2: plan.area_mm2,
             peak_power_w: compute_arrays as f64 * per_array_w,
         })
     }
@@ -279,6 +280,18 @@ mod tests {
         let cfg = AcceleratorConfig::default()
             .with_replication(crate::mapping::ReplicationPolicy::Fixed(0));
         let err = ChipPlan::plan(&models::lenet_spec(), &cfg, BankShape::default(), 8).unwrap_err();
-        assert!(matches!(err, ChipPlanError::Mapping(_)));
+        assert!(matches!(err, ChipPlanError::Plan(PlanError::Mapping(_))));
+    }
+
+    #[test]
+    fn unweighted_network_is_an_error_not_a_panic() {
+        let net = NetworkSpec::new(
+            "empty",
+            reram_tensor::Shape4::new(1, 1, 4, 4),
+            vec![reram_nn::LayerSpec::Activation { elems: 16 }],
+        );
+        let err = ChipPlan::plan(&net, &AcceleratorConfig::default(), BankShape::default(), 8)
+            .unwrap_err();
+        assert_eq!(err, ChipPlanError::Plan(PlanError::NoWeightedLayers));
     }
 }

@@ -3,12 +3,12 @@
 //! The paper's control unit "offloads the computation from the host CPU and
 //! orchestrates the data transfers between memory subarrays and morphable
 //! subarrays in training and testing based on the algorithm configurations"
-//! (§III-A.3 (e)). This module is that orchestration for the inference
-//! path: given a stack of fully connected layers (weights + activation), it
-//! emits the [`Instruction`] sequence that programs the morphable
-//! subarrays, morphs them into compute mode, and chains each input vector
-//! through the layers via memory subarrays — then executes it on a
-//! [`Bank`].
+//! (§III-A.3 (e)). This module is that orchestration: given a stack of
+//! CONV / POOL / FC / activation stages ([`NetStage`]),
+//! [`CompiledNetwork`] issues the [`Instruction`]s that program the
+//! morphable subarrays, morph them into compute mode, and chain each input
+//! through the layers via memory subarrays of a [`Bank`];
+//! [`TrainableMlp`] does the same for training a fully connected stack.
 
 use crate::isa::{Instruction, SubarrayMode};
 use crate::subarray::Bank;
@@ -61,164 +61,6 @@ impl std::fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
-
-/// One compiled layer: a weight matrix and an optional fused activation.
-#[derive(Debug, Clone)]
-pub struct FcStage {
-    /// Weight matrix `(out × in)`.
-    pub weights: Matrix,
-    /// Peripheral activation applied on the bitline outputs.
-    pub activation: Option<Activation>,
-}
-
-impl FcStage {
-    /// Creates a stage.
-    pub fn new(weights: Matrix, activation: Option<Activation>) -> Self {
-        Self {
-            weights,
-            activation,
-        }
-    }
-}
-
-/// A compiled inference program and the bank sized to run it.
-#[derive(Debug)]
-pub struct CompiledMlp {
-    stages: Vec<FcStage>,
-    bank: Bank,
-    setup_done: bool,
-}
-
-impl CompiledMlp {
-    /// Compiles an MLP onto a fresh bank: one morphable subarray per layer,
-    /// two memory subarrays used as ping-pong activation buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::EmptyNetwork`] if `stages` is empty and
-    /// [`CompileError::ShapeMismatch`] if consecutive layer shapes are
-    /// incompatible.
-    #[must_use = "the compiled network is the result"]
-    pub fn compile(stages: Vec<FcStage>, config: &CrossbarConfig) -> Result<Self, CompileError> {
-        if stages.is_empty() {
-            return Err(CompileError::EmptyNetwork);
-        }
-        for (i, w) in stages.windows(2).enumerate() {
-            if w[1].weights.cols() != w[0].weights.rows() {
-                return Err(CompileError::ShapeMismatch {
-                    stage: i + 1,
-                    expected: w[0].weights.rows(),
-                    got: w[1].weights.cols(),
-                });
-            }
-        }
-        let bank = Bank::new(stages.len(), 2, config);
-        Ok(Self {
-            stages,
-            bank,
-            setup_done: false,
-        })
-    }
-
-    /// Number of compiled layers.
-    pub fn depth(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Input vector length.
-    pub fn input_len(&self) -> usize {
-        self.stages[0].weights.cols()
-    }
-
-    /// Output vector length.
-    pub fn output_len(&self) -> usize {
-        self.stages[self.stages.len() - 1].weights.rows()
-    }
-
-    /// The setup program: program every layer's weights and morph its
-    /// subarray into compute mode.
-    pub fn setup_program(&self) -> Vec<Instruction> {
-        let mut prog = Vec::with_capacity(2 * self.stages.len());
-        for (i, stage) in self.stages.iter().enumerate() {
-            prog.push(Instruction::Program {
-                subarray: i,
-                weights: stage.weights.clone(),
-            });
-            prog.push(Instruction::SetMode {
-                subarray: i,
-                mode: SubarrayMode::Compute,
-            });
-        }
-        prog
-    }
-
-    /// The per-input program: load the vector, chain it through every layer
-    /// alternating the two activation buffers, read the result back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.input_len()`.
-    pub fn inference_program(&self, input: &[f32]) -> Vec<Instruction> {
-        assert_eq!(
-            input.len(),
-            self.input_len(),
-            "input length {} vs expected {}",
-            input.len(),
-            self.input_len()
-        );
-        let mut prog = vec![Instruction::LoadMem {
-            mem: 0,
-            data: input.to_vec(),
-        }];
-        for (i, stage) in self.stages.iter().enumerate() {
-            prog.push(Instruction::Compute {
-                subarray: i,
-                src_mem: i % 2,
-                dst_mem: (i + 1) % 2,
-                activation: stage.activation,
-            });
-        }
-        prog.push(Instruction::ReadMem {
-            mem: self.stages.len() % 2,
-        });
-        prog
-    }
-
-    /// Runs one input through the compiled network on the bank.
-    ///
-    /// The setup program runs lazily before the first input.
-    pub fn infer(&mut self, input: &[f32]) -> Vec<f32> {
-        let _span = Span::enter("bank/infer");
-        if !self.setup_done {
-            let setup = self.setup_program();
-            let _ = self.bank.run(setup);
-            self.setup_done = true;
-        }
-        let prog = self.inference_program(input);
-        let mut out = self.bank.run(prog);
-        // lint:allow(panic) program built by this compiler always ends with ReadMem
-        out.pop().expect("inference program ends with a read")
-    }
-
-    /// Reference result computed in floating point (no crossbar).
-    pub fn infer_exact(&self, input: &[f32]) -> Vec<f32> {
-        let mut x = input.to_vec();
-        for stage in &self.stages {
-            x = stage.weights.matvec(&x);
-            if let Some(a) = stage.activation {
-                for v in &mut x {
-                    *v = a.apply(*v);
-                }
-            }
-        }
-        x
-    }
-
-    /// Bank statistics accumulated so far.
-    pub fn stats(&self) -> crate::subarray::BankStats {
-        self.bank.stats()
-    }
-}
 
 /// An MLP trained *on the bank*: forward MVMs and error back-propagation
 /// both execute as bank instructions on the morphable subarrays (forward
@@ -512,9 +354,9 @@ enum LoweredStage {
     Act(Activation),
 }
 
-/// A generalized compiled network: CONV / POOL / FC / activation stages
-/// lowered onto one [`Bank`], subsuming [`CompiledMlp`] (an FC-only stack
-/// compiles to the identical instruction stream).
+/// A compiled inference network: CONV / POOL / FC / activation stages
+/// lowered onto one [`Bank`]. An FC-only stack is the plain MLP case: each
+/// layer is one `Compute` between the ping-pong slots.
 ///
 /// Memory map: slots 0/1 ping-pong whole feature maps between stages
 /// (layout `(C, H, W)` flattened channel-major), slot 2 stages the current
@@ -903,17 +745,18 @@ mod tests {
     use super::*;
     use reram_tensor::Shape2;
 
-    fn stage(out: usize, inp: usize, act: Option<Activation>, salt: usize) -> FcStage {
-        FcStage::new(
-            Matrix::from_fn(Shape2::new(out, inp), |r, c| {
+    fn stage(out: usize, inp: usize, act: Option<Activation>, salt: usize) -> NetStage {
+        NetStage::Fc {
+            weights: Matrix::from_fn(Shape2::new(out, inp), |r, c| {
                 (((r * 7 + c * 5 + salt) % 13) as f32 - 6.0) / 8.0
             }),
-            act,
-        )
+            activation: act,
+        }
     }
 
-    fn mlp() -> CompiledMlp {
-        CompiledMlp::compile(
+    fn mlp() -> CompiledNetwork {
+        CompiledNetwork::compile(
+            (8, 1, 1),
             vec![
                 stage(10, 8, Some(Activation::Relu), 1),
                 stage(6, 10, Some(Activation::Relu), 2),
@@ -933,27 +776,12 @@ mod tests {
     }
 
     #[test]
-    fn setup_program_structure() {
-        let m = mlp();
-        let setup = m.setup_program();
-        assert_eq!(setup.len(), 6); // program + set_mode per layer
-        assert!(matches!(setup[0], Instruction::Program { subarray: 0, .. }));
-        assert!(matches!(
-            setup[5],
-            Instruction::SetMode {
-                subarray: 2,
-                mode: SubarrayMode::Compute
-            }
-        ));
-    }
-
-    #[test]
     fn inference_matches_exact_within_quantization() {
         let mut m = mlp();
         for k in 0..4 {
             let input: Vec<f32> = (0..8).map(|i| ((i + k) % 5) as f32 / 5.0 - 0.4).collect();
-            let got = m.infer(&input);
-            let want = m.infer_exact(&input);
+            let got = m.forward(&input);
+            let want = m.forward_exact(&input);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() < 0.05, "{g} vs {w}");
@@ -962,43 +790,11 @@ mod tests {
     }
 
     #[test]
-    fn ping_pong_buffers_alternate() {
-        let m = mlp();
-        let prog = m.inference_program(&[0.0; 8]);
-        // load -> compute(0->1) -> compute(1->0) -> compute(0->1) -> read(1)
-        assert!(matches!(
-            prog[1],
-            Instruction::Compute {
-                src_mem: 0,
-                dst_mem: 1,
-                ..
-            }
-        ));
-        assert!(matches!(
-            prog[2],
-            Instruction::Compute {
-                src_mem: 1,
-                dst_mem: 0,
-                ..
-            }
-        ));
-        assert!(matches!(
-            prog[3],
-            Instruction::Compute {
-                src_mem: 0,
-                dst_mem: 1,
-                ..
-            }
-        ));
-        assert!(matches!(prog[4], Instruction::ReadMem { mem: 1 }));
-    }
-
-    #[test]
     fn stats_accumulate_per_inference() {
         let mut m = mlp();
-        let _ = m.infer(&[0.1; 8]);
+        let _ = m.forward(&[0.1; 8]);
         let after_one = m.stats();
-        let _ = m.infer(&[0.2; 8]);
+        let _ = m.forward(&[0.2; 8]);
         let after_two = m.stats();
         assert_eq!(after_one.mvms, 3);
         assert_eq!(after_two.mvms, 6);
@@ -1007,7 +803,8 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_layers() {
-        let err = CompiledMlp::compile(
+        let err = CompiledNetwork::compile(
+            (8, 1, 1),
             vec![stage(10, 8, None, 1), stage(6, 9, None, 2)],
             &CrossbarConfig::default(),
         )
@@ -1025,8 +822,6 @@ mod tests {
 
     #[test]
     fn rejects_empty() {
-        let err = CompiledMlp::compile(vec![], &CrossbarConfig::default()).unwrap_err();
-        assert_eq!(err, CompileError::EmptyNetwork);
         let err = TrainableMlp::compile(vec![], &CrossbarConfig::default()).unwrap_err();
         assert_eq!(err, CompileError::EmptyNetwork);
         let err =
@@ -1222,31 +1017,6 @@ mod tests {
         // conv: 4x4 output positions = 16 MVMs, fc: 1 -> 17 total.
         assert_eq!(m.stats().mvms, 17);
         assert_eq!(m.stats().programs, 2); // conv + fc grids
-    }
-
-    #[test]
-    fn network_subsumes_compiled_mlp() {
-        // An FC-only CompiledNetwork reproduces CompiledMlp bit-for-bit,
-        // with identical bank MVM counts.
-        let cfg = CrossbarConfig::default();
-        let fc_stages = vec![
-            stage(10, 8, Some(Activation::Relu), 1),
-            stage(6, 10, Some(Activation::Relu), 2),
-            stage(3, 6, None, 3),
-        ];
-        let mut mlp = CompiledMlp::compile(fc_stages.clone(), &cfg).expect("compiles");
-        let net_stages = fc_stages
-            .iter()
-            .map(|s| NetStage::Fc {
-                weights: s.weights.clone(),
-                activation: s.activation,
-            })
-            .collect();
-        let mut net = CompiledNetwork::compile((8, 1, 1), net_stages, &cfg).expect("compiles");
-        let input: Vec<f32> = (0..8).map(|i| i as f32 / 10.0 - 0.4).collect();
-        assert_eq!(net.forward(&input), mlp.infer(&input));
-        assert_eq!(net.stats().mvms, mlp.stats().mvms);
-        assert_eq!(net.stats().programs, mlp.stats().programs);
     }
 
     #[test]

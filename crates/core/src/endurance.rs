@@ -8,7 +8,7 @@
 //! adopter of a PipeLayer-class design runs before committing to in-situ
 //! training.
 
-use crate::timing::NetworkTiming;
+use crate::plan::ExecutionPlan;
 use crate::AcceleratorConfig;
 use reram_nn::NetworkSpec;
 use serde::{Deserialize, Serialize};
@@ -67,13 +67,16 @@ impl EnduranceReport {
     ///
     /// # Panics
     ///
-    /// Panics if `batch == 0` or the configuration is invalid.
+    /// Panics if `batch == 0` or the network cannot be lowered (invalid
+    /// configuration, no weighted layers, or unmappable under the
+    /// replication policy).
     pub fn analyze(net: &NetworkSpec, config: &AcceleratorConfig, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be positive");
-        let timing = NetworkTiming::analyze(net, config);
-        let batch_cycles = (2 * net.weighted_layer_count() + batch) as f64;
-        let batch_time_s =
-            (batch_cycles * timing.training_cycle_ns + timing.update_cycle_ns) * 1e-9;
+        let plan = ExecutionPlan::lower(net, config)
+            // lint:allow(panic) documented contract — unliftable networks abort analysis
+            .unwrap_or_else(|e| panic!("cannot plan {}: {e}", net.name));
+        let batch_cycles = (2 * plan.weighted_layer_count() + batch) as u64;
+        let batch_time_s = plan.cycles_to_seconds(batch_cycles, 1, true);
         let limits = [
             EnduranceClass::Conservative.write_limit(),
             EnduranceClass::Typical.write_limit(),

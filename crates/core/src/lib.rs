@@ -15,18 +15,18 @@
 //! * [`pipeline`] — the inter-layer training pipeline of Fig. 5, as both
 //!   closed-form cycle counts and a cycle-stepped simulator that is checked
 //!   against them,
-//! * [`plan`] — the backend-neutral lowering IR: every network becomes one
-//!   [`ExecutionPlan`] of per-layer mappings, MVM counts, buffer traffic
-//!   and cycle/energy closed forms that the timing, pipeline, report and
-//!   GPU cost models all consume,
+//! * [`plan`] — the backend-neutral lowering IR and the crate's one pricing
+//!   model: every network becomes one [`ExecutionPlan`] of per-layer
+//!   mappings, MVM counts, buffer traffic and cycle/energy closed forms
+//!   that the accelerator, chip, endurance, report and GPU cost models all
+//!   consume, including the conversion of pipeline macro-cycles into
+//!   wall-clock time and energy,
 //! * [`verify`] — a static checker over lowered plans: conservation laws,
 //!   feasibility (budgets, replication, queueing stability) and
 //!   metamorphic monotonicity checks, surfaced as typed [`Violation`]s
 //!   through `reram-lint --plans`,
 //! * [`regan`] — the GAN training pipeline of Fig. 8 with the spatial
 //!   parallelism (SP) and computation sharing (CS) optimizations of Fig. 9,
-//! * [`timing`] — conversion of pipeline macro-cycles into wall-clock time
-//!   and energy through the crossbar circuit cost model,
 //! * [`accelerator`] — end-to-end evaluation producing the speedup /
 //!   energy-saving comparisons of Table I against the GPU baseline.
 //!
@@ -62,19 +62,18 @@ pub mod plan;
 pub mod regan;
 pub mod report;
 pub mod subarray;
-pub mod timing;
 pub mod verify;
 
 mod config;
 
 pub use accelerator::{AccelReport, PipeLayerAccelerator, ReGanAccelerator};
 pub use chip::{BankShape, ChipPlan, ChipPlanError};
-pub use compiler::{CompileError, CompiledMlp, CompiledNetwork, FcStage, NetStage, TrainableMlp};
+pub use compiler::{CompileError, CompiledNetwork, NetStage, TrainableMlp};
 pub use config::AcceleratorConfig;
 pub use endurance::{EnduranceClass, EnduranceReport};
 pub use mapping::{LayerMapping, MappingError, MappingScheme, ReplicationPolicy};
 pub use pipeline::{PipelineModel, PipelineTrace};
-pub use plan::{regan_pipeline, ExecutionPlan, LayerPlan, PlanError};
+pub use plan::{ExecutionPlan, LayerPlan, PlanError};
 pub use regan::{ReganOpt, ReganPipeline};
-pub use report::{build_run_report, layer_adc_conversions, layer_cell_writes, layer_reports};
+pub use report::{build_run_report, layer_reports};
 pub use verify::{verify_lowering, verify_plan, verify_serve, ServeShape, Violation, ZooFinding};

@@ -24,19 +24,13 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper's closed forms count *macro-cycles*: every pipeline stage is
 /// stretched to the latency of the slowest layer, so each stage costs
-/// exactly one cycle. [`PipelineModel::new`] builds that uniform model.
-/// [`PipelineModel::with_stage_cycles`] additionally records per-layer
-/// *micro-cycle* costs (e.g. the `steps_per_input` of each layer's crossbar
-/// mapping) and exposes heterogeneous closed forms
-/// ([`PipelineModel::inference_stage_cycles`] and friends) where the
-/// pipeline initiation interval is the *maximum* stage cost rather than a
-/// padded unit cycle. With all stage costs equal to 1 the heterogeneous
-/// inference forms reduce exactly to the paper's macro-cycle forms.
+/// exactly one cycle and the model needs only the layer count and batch
+/// size. Per-layer wall-clock forms, where each stage runs at its own
+/// layer's speed, live on [`crate::plan::ExecutionPlan`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineModel {
     layers: usize,
     batch: usize,
-    stage_cycles: Vec<u64>,
 }
 
 /// Result of a cycle-stepped pipeline simulation.
@@ -72,39 +66,7 @@ impl PipelineModel {
     pub fn new(layers: usize, batch: usize) -> Self {
         assert!(layers > 0, "pipeline needs at least one layer");
         assert!(batch > 0, "batch size must be positive");
-        Self {
-            layers,
-            batch,
-            stage_cycles: vec![1; layers],
-        }
-    }
-
-    /// Creates a pipeline model with heterogeneous per-layer stage costs.
-    ///
-    /// `stage_cycles[i]` is the micro-cycle cost of layer `i`'s forward
-    /// stage (its backward stage costs twice that — transposed MVM plus
-    /// weight-gradient accumulation). The uniform [`PipelineModel::new`] is
-    /// the special case where every entry is 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage_cycles` is empty, contains a zero, or `batch` is
-    /// zero.
-    pub fn with_stage_cycles(stage_cycles: Vec<u64>, batch: usize) -> Self {
-        assert!(
-            !stage_cycles.is_empty(),
-            "pipeline needs at least one layer"
-        );
-        assert!(
-            stage_cycles.iter().all(|&c| c > 0),
-            "every stage must cost at least one cycle"
-        );
-        assert!(batch > 0, "batch size must be positive");
-        Self {
-            layers: stage_cycles.len(),
-            batch,
-            stage_cycles,
-        }
+        Self { layers, batch }
     }
 
     /// Weighted layer count `L`.
@@ -115,21 +77,6 @@ impl PipelineModel {
     /// Batch size `B`.
     pub fn batch(&self) -> usize {
         self.batch
-    }
-
-    /// Per-layer forward stage costs in micro-cycles (all 1 for the uniform
-    /// model).
-    pub fn stage_cycles(&self) -> &[u64] {
-        &self.stage_cycles
-    }
-
-    fn stage_sum(&self) -> u64 {
-        self.stage_cycles.iter().sum()
-    }
-
-    fn stage_max(&self) -> u64 {
-        // lint:allow(panic) stage_cycles is non-empty by construction.
-        *self.stage_cycles.iter().max().unwrap()
     }
 
     /// Cycles to train one batch: `2L + B + 1`.
@@ -183,87 +130,6 @@ impl PipelineModel {
     /// Non-pipelined inference cycles: `N · L`.
     pub fn sequential_inference_cycles(&self, n: u64) -> u64 {
         n * self.layers as u64
-    }
-
-    /// Heterogeneous pipelined inference in micro-cycles:
-    /// `Σ cᵢ + (N − 1) · max cᵢ` — the pipeline fill (one pass through every
-    /// stage) plus one initiation interval (the slowest stage) per
-    /// additional input. With uniform unit stages this is exactly the
-    /// macro-cycle form `N + L − 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn inference_stage_cycles(&self, n: u64) -> u64 {
-        assert!(n > 0, "need at least one input");
-        self.stage_sum() + (n - 1) * self.stage_max()
-    }
-
-    /// Heterogeneous non-pipelined inference in micro-cycles: `N · Σ cᵢ`
-    /// (each input walks every stage alone). With uniform unit stages this
-    /// is exactly the macro-cycle form `N · L`.
-    pub fn sequential_inference_stage_cycles(&self, n: u64) -> u64 {
-        n * self.stage_sum()
-    }
-
-    /// Training stage-cost vector in micro-cycles: forward stages
-    /// `c₁ … c_L`, one error-computation stage, then backward stages
-    /// `2c_L … 2c₁` (transposed MVM plus weight-gradient outer product,
-    /// paper §II-A.2 — two crossbar passes per layer).
-    pub fn training_stage_vector(&self) -> Vec<u64> {
-        let mut v = self.stage_cycles.clone();
-        v.push(1);
-        v.extend(self.stage_cycles.iter().rev().map(|c| 2 * c));
-        v
-    }
-
-    /// Heterogeneous training micro-cycles per batch:
-    /// `Σ sⱼ + (B − 1) · max sⱼ + 1` over the training stage vector `s`
-    /// (fill, one initiation interval per remaining input, one update
-    /// cycle).
-    ///
-    /// Note this counts *micro*-cycles: backward stages cost twice their
-    /// forward counterpart, so even with uniform unit forward stages the
-    /// value differs from the macro-cycle form `2L + B + 1`, which pads
-    /// every stage to a single stretched cycle.
-    pub fn training_stage_cycles_per_batch(&self) -> u64 {
-        let stages = self.training_stage_vector();
-        let sum: u64 = stages.iter().sum();
-        // lint:allow(panic) training stage vector is never empty.
-        let max = *stages.iter().max().unwrap();
-        sum + (self.batch as u64 - 1) * max + 1
-    }
-
-    /// Heterogeneous pipelined training micro-cycles for `n` inputs:
-    /// `(N/B) ·` [`PipelineModel::training_stage_cycles_per_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a positive multiple of the batch size.
-    pub fn training_stage_cycles(&self, n: u64) -> u64 {
-        assert!(
-            n > 0 && n.is_multiple_of(self.batch as u64),
-            "{n} inputs is not a positive multiple of batch {}",
-            self.batch
-        );
-        (n / self.batch as u64) * self.training_stage_cycles_per_batch()
-    }
-
-    /// Heterogeneous non-pipelined training micro-cycles: each input walks
-    /// the whole training stage vector alone (`N · Σ sⱼ`) plus one update
-    /// cycle per batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a positive multiple of the batch size.
-    pub fn sequential_training_stage_cycles(&self, n: u64) -> u64 {
-        assert!(
-            n > 0 && n.is_multiple_of(self.batch as u64),
-            "{n} inputs is not a positive multiple of batch {}",
-            self.batch
-        );
-        let per_input: u64 = self.training_stage_vector().iter().sum();
-        n * per_input + n / self.batch as u64
     }
 
     /// Training speedup of the pipeline over sequential execution.
@@ -574,60 +440,6 @@ mod tests {
     #[should_panic(expected = "at least one layer")]
     fn rejects_zero_layers() {
         let _ = PipelineModel::new(0, 4);
-    }
-
-    #[test]
-    fn uniform_stage_cycles_anchor_macro_forms() {
-        // All-unit stage costs must reproduce the paper's macro-cycle
-        // inference forms exactly.
-        for l in [1usize, 3, 5, 11] {
-            let p = PipelineModel::new(l, 4);
-            assert_eq!(p.stage_cycles(), vec![1u64; l].as_slice());
-            for n in [1u64, 7, 100] {
-                assert_eq!(p.inference_stage_cycles(n), p.inference_cycles(n));
-                assert_eq!(
-                    p.sequential_inference_stage_cycles(n),
-                    p.sequential_inference_cycles(n)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn hetero_inference_is_fill_plus_initiation_intervals() {
-        let p = PipelineModel::with_stage_cycles(vec![3, 1, 5, 2], 4);
-        // Fill = 3+1+5+2 = 11; each additional input pays max = 5.
-        assert_eq!(p.inference_stage_cycles(1), 11);
-        assert_eq!(p.inference_stage_cycles(10), 11 + 9 * 5);
-        // Sequential = every input walks the full sum.
-        assert_eq!(p.sequential_inference_stage_cycles(10), 110);
-    }
-
-    #[test]
-    fn hetero_training_stage_vector_shape() {
-        let p = PipelineModel::with_stage_cycles(vec![3, 1, 5], 2);
-        // Forward costs, one error stage, doubled backward costs reversed.
-        assert_eq!(p.training_stage_vector(), vec![3, 1, 5, 1, 10, 2, 6]);
-        // Per batch: sum 28 + (B-1)*max 10 + 1 update = 39.
-        assert_eq!(p.training_stage_cycles_per_batch(), 39);
-        assert_eq!(p.training_stage_cycles(4), 2 * 39);
-        // Sequential: 4 * 28 + 4/2 updates = 114.
-        assert_eq!(p.sequential_training_stage_cycles(4), 114);
-    }
-
-    #[test]
-    fn hetero_pipeline_never_slower_than_sequential() {
-        let p = PipelineModel::with_stage_cycles(vec![4, 2, 7, 1, 3], 8);
-        for n in [8u64, 64, 512] {
-            assert!(p.training_stage_cycles(n) <= p.sequential_training_stage_cycles(n));
-            assert!(p.inference_stage_cycles(n) <= p.sequential_inference_stage_cycles(n));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cycle")]
-    fn rejects_zero_stage_cost() {
-        let _ = PipelineModel::with_stage_cycles(vec![2, 0, 3], 4);
     }
 
     #[test]

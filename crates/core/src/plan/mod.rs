@@ -6,13 +6,14 @@
 //! mapped crossbar tile geometry (via [`crate::mapping`]), MVM counts per
 //! training pass (forward / error back-propagation / weight-gradient, paper
 //! §II-A.2), buffer read/write traffic, and per-layer cycle and energy
-//! closed forms. Every downstream consumer derives from this one object:
+//! closed forms. It is the one pricing model of this crate; every
+//! downstream consumer derives from it:
 //!
-//! * [`crate::timing::NetworkTiming`] copies the plan's aggregates,
-//! * [`crate::pipeline::PipelineModel`] and
-//!   [`crate::regan::ReganPipeline`] take their heterogeneous per-layer
-//!   stage costs from it ([`ExecutionPlan::pipeline_model`],
-//!   [`regan_pipeline`]),
+//! * the accelerator, chip and endurance models convert pipeline
+//!   macro-cycles into seconds and joules through its aggregates
+//!   ([`ExecutionPlan::cycles_to_seconds`],
+//!   [`ExecutionPlan::training_energy_breakdown`],
+//!   [`ExecutionPlan::inference_energy_j`]),
 //! * [`crate::report`] renders its per-layer breakdown from the
 //!   [`LayerPlan`]s,
 //! * the GPU baseline costs the *same* plan through its backend-neutral
@@ -24,9 +25,7 @@ mod layer;
 pub use gpu::gpu_gan_training_cost;
 pub use layer::{adc_conversions, cell_writes, LayerPlan, BYTES_PER_ELEM};
 
-use crate::mapping::{map_network, LayerMapping, MappingError};
-use crate::pipeline::PipelineModel;
-use crate::regan::ReganPipeline;
+use crate::mapping::{map_network, MappingError};
 use crate::AcceleratorConfig;
 use reram_nn::{LayerWork, NetworkSpec};
 use serde::{Deserialize, Serialize};
@@ -57,6 +56,26 @@ impl std::error::Error for PlanError {}
 impl From<MappingError> for PlanError {
     fn from(e: MappingError) -> Self {
         PlanError::Mapping(e)
+    }
+}
+
+/// Energy of a training run split by where it is spent.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct EnergyBreakdown {
+    /// Forward-pass crossbar MVMs, joules.
+    pub forward_j: f64,
+    /// Backward-pass crossbar MVMs (error + weight-gradient), joules.
+    pub backward_j: f64,
+    /// Memory/buffer subarray traffic, joules.
+    pub buffer_j: f64,
+    /// Weight-array reprogramming, joules.
+    pub update_j: f64,
+}
+
+impl EnergyBreakdown {
+    /// Total energy, joules.
+    pub fn total_j(&self) -> f64 {
+        self.forward_j + self.backward_j + self.buffer_j + self.update_j
     }
 }
 
@@ -157,16 +176,6 @@ impl ExecutionPlan {
         self.layers.len()
     }
 
-    /// The per-weighted-layer crossbar mappings, in network order.
-    pub fn mappings(&self) -> Vec<LayerMapping> {
-        self.layers.iter().map(|l| l.mapping).collect()
-    }
-
-    /// Per-weighted-layer forward stage costs in micro-cycles.
-    pub fn stage_cycles(&self) -> Vec<u64> {
-        self.layers.iter().map(|l| l.stage_cycles).collect()
-    }
-
     /// Crossbar energy of one input's forward pass, pJ (sum over layers).
     pub fn forward_energy_pj(&self) -> f64 {
         self.layers.iter().map(|l| l.forward_energy_pj).sum()
@@ -192,14 +201,49 @@ impl ExecutionPlan {
         self.works.iter().map(LayerWork::training_macs).sum()
     }
 
-    /// A [`PipelineModel`] whose per-layer stage costs are this plan's
-    /// replication-adjusted micro-cycle counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn pipeline_model(&self, batch: usize) -> PipelineModel {
-        PipelineModel::with_stage_cycles(self.stage_cycles(), batch)
+    /// Wall-clock time of `compute_cycles` pipeline macro-cycles plus
+    /// `update_cycles` weight-update cycles, seconds. A macro-cycle lasts
+    /// the slowest forward stage, or the slowest backward stage when
+    /// `training`.
+    pub fn cycles_to_seconds(
+        &self,
+        compute_cycles: u64,
+        update_cycles: u64,
+        training: bool,
+    ) -> f64 {
+        let cycle_ns = if training {
+            self.training_cycle_ns
+        } else {
+            self.forward_cycle_ns
+        };
+        let compute_ns = compute_cycles as f64 * cycle_ns;
+        let update_ns = update_cycles as f64 * self.update_cycle_ns;
+        (compute_ns + update_ns) * 1e-9
+    }
+
+    /// Component-wise energy of training `n` inputs with `batches` weight
+    /// updates.
+    pub fn training_energy_breakdown(&self, n: u64, batches: u64) -> EnergyBreakdown {
+        let n = n as f64;
+        EnergyBreakdown {
+            forward_j: n * self.forward_energy_pj() * 1e-12,
+            backward_j: n * self.backward_energy_pj() * 1e-12,
+            buffer_j: n * self.buffer_energy_pj * 1e-12,
+            update_j: batches as f64 * self.update_energy_pj() * 1e-12,
+        }
+    }
+
+    /// Crossbar + buffer energy of training `n` inputs with `batches`
+    /// weight updates, joules.
+    pub fn training_energy_j(&self, n: u64, batches: u64) -> f64 {
+        self.training_energy_breakdown(n, batches).total_j()
+    }
+
+    /// Crossbar + buffer energy of `n` inference passes, joules: per input,
+    /// the forward crossbar energy plus the two-touch inference buffer
+    /// energy ([`ExecutionPlan::inference_buffer_energy_pj`]).
+    pub fn inference_energy_j(&self, n: u64) -> f64 {
+        n as f64 * (self.forward_energy_pj() + self.inference_buffer_energy_pj()) * 1e-12
     }
 
     /// Per-layer forward stage latencies, ns.
@@ -308,24 +352,9 @@ impl ExecutionPlan {
     }
 }
 
-/// A [`ReganPipeline`] whose per-layer stage costs come from the
-/// discriminator's and generator's execution plans.
-///
-/// A free function rather than a method: the GAN schedule involves two
-/// plans symmetrically, and `regan` itself must stay below `plan` in the
-/// module layering.
-///
-/// # Panics
-///
-/// Panics if `batch` is zero.
-pub fn regan_pipeline(d: &ExecutionPlan, g: &ExecutionPlan, batch: usize) -> ReganPipeline {
-    ReganPipeline::with_stage_cycles(d.stage_cycles(), g.stage_cycles(), batch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::NetworkTiming;
     use reram_nn::models;
 
     fn plan(net: &NetworkSpec) -> ExecutionPlan {
@@ -339,25 +368,74 @@ mod tests {
         assert_eq!(p.layers[0].name, "conv1");
         assert_eq!(p.layers[4].name, "fc5");
         assert!(p.forward_cycle_ns > 0.0);
+        assert!(p.training_cycle_ns > p.forward_cycle_ns);
         assert!(p.total_arrays > 0);
+        assert!(p.area_mm2 > 0.0);
     }
 
     #[test]
-    fn aggregates_match_network_timing() {
-        for net in [models::lenet_spec(), models::alexnet_spec()] {
-            let p = plan(&net);
-            let t = NetworkTiming::analyze(&net, &AcceleratorConfig::default());
-            assert_eq!(p.forward_cycle_ns, t.forward_cycle_ns);
-            assert_eq!(p.training_cycle_ns, t.training_cycle_ns);
-            assert_eq!(p.update_cycle_ns, t.update_cycle_ns);
-            assert_eq!(p.forward_energy_pj(), t.forward_energy_pj);
-            assert_eq!(p.backward_energy_pj(), t.backward_energy_pj);
-            assert_eq!(p.buffer_energy_pj, t.buffer_energy_pj);
-            assert_eq!(p.update_energy_pj(), t.update_energy_pj);
-            assert_eq!(p.total_arrays, t.total_arrays);
-            assert_eq!(p.area_mm2, t.area_mm2);
-            assert_eq!(p.mappings(), t.mappings);
-        }
+    fn backward_cycle_is_twice_forward() {
+        let p = plan(&models::lenet_spec());
+        assert!((p.training_cycle_ns - 2.0 * p.forward_cycle_ns).abs() < 1e-9);
+        assert!((p.backward_energy_pj() - 2.0 * p.forward_energy_pj()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn bigger_network_more_arrays_and_energy() {
+        let small = plan(&models::lenet_spec());
+        let big = plan(&models::vgg_a_spec());
+        assert!(big.total_arrays > 10 * small.total_arrays);
+        assert!(big.forward_energy_pj() > 100.0 * small.forward_energy_pj());
+    }
+
+    #[test]
+    fn cycle_time_bounded_by_replication_policy() {
+        // MaxStepsPerLayer(64) with 16 input bits and default frames:
+        // stage <= 64 MVMs x (16 frames + merge) ns.
+        let cfg = AcceleratorConfig::default()
+            .with_replication(crate::mapping::ReplicationPolicy::MaxStepsPerLayer(64));
+        let p = ExecutionPlan::lower(&models::vgg_a_spec(), &cfg).expect("lowerable");
+        let per_mvm = 16.0 * cfg.cost.frame_latency_ns + 16.0 * cfg.cost.adder_latency_ns;
+        assert!(
+            p.forward_cycle_ns <= 64.0 * per_mvm,
+            "cycle {} exceeds bound",
+            p.forward_cycle_ns
+        );
+    }
+
+    #[test]
+    fn cycles_to_seconds_composition() {
+        let p = plan(&models::lenet_spec());
+        let s = p.cycles_to_seconds(100, 2, true);
+        let want = (100.0 * p.training_cycle_ns + 2.0 * p.update_cycle_ns) * 1e-9;
+        assert!((s - want).abs() < 1e-15);
+        let s = p.cycles_to_seconds(100, 0, false);
+        assert!((s - 100.0 * p.forward_cycle_ns * 1e-9).abs() < 1e-15);
+    }
+
+    #[test]
+    fn breakdown_sums_to_total() {
+        let p = plan(&models::alexnet_spec());
+        let b = p.training_energy_breakdown(256, 8);
+        assert!((b.total_j() - p.training_energy_j(256, 8)).abs() < 1e-12);
+        assert!(b.forward_j > 0.0 && b.backward_j > 0.0);
+        assert!(b.buffer_j > 0.0 && b.update_j > 0.0);
+        // Backward dominates forward 2:1 in the crossbar component.
+        assert!((b.backward_j / b.forward_j - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn training_energy_scales_with_inputs() {
+        let p = plan(&models::lenet_spec());
+        let e1 = p.training_energy_j(100, 10);
+        let e2 = p.training_energy_j(200, 20);
+        assert!((e2 / e1 - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn inference_energy_below_training_energy() {
+        let p = plan(&models::lenet_spec());
+        assert!(p.inference_energy_j(100) < p.training_energy_j(100, 10));
     }
 
     #[test]
@@ -379,31 +457,6 @@ mod tests {
             assert_eq!(l.buffer_write_bytes, out_bytes);
             assert_eq!(l.buffer_read_bytes, 2.0 * out_bytes);
         }
-    }
-
-    #[test]
-    fn pipeline_model_carries_stage_heterogeneity() {
-        let p = plan(&models::alexnet_spec());
-        let pipe = p.pipeline_model(16);
-        assert_eq!(pipe.layers(), p.layers.len());
-        assert_eq!(pipe.stage_cycles(), p.stage_cycles().as_slice());
-        // AlexNet's layers differ in size, so stages must differ.
-        let s = p.stage_cycles();
-        assert!(
-            s.iter().any(|&c| c != s[0]),
-            "stages unexpectedly uniform: {s:?}"
-        );
-    }
-
-    #[test]
-    fn regan_pipeline_from_two_plans() {
-        let d = plan(&models::dcgan_discriminator_spec(3, 64));
-        let g = plan(&models::dcgan_generator_spec(100, 3, 64));
-        let pipe = regan_pipeline(&d, &g, 32);
-        assert_eq!(pipe.discriminator_layers(), d.layers.len());
-        assert_eq!(pipe.generator_layers(), g.layers.len());
-        assert_eq!(pipe.d_stage_cycles(), d.stage_cycles().as_slice());
-        assert_eq!(pipe.g_stage_cycles(), g.stage_cycles().as_slice());
     }
 
     #[test]

@@ -61,18 +61,13 @@ impl ReganOpt {
 /// Cycle model of ReGAN's GAN training schedule.
 ///
 /// As with [`crate::pipeline::PipelineModel`], the paper's closed forms
-/// count *macro-cycles* (every stage padded to the slowest layer).
-/// [`ReganPipeline::with_stage_cycles`] additionally records per-layer
-/// micro-cycle costs for both networks and exposes heterogeneous phase
-/// forms ([`ReganPipeline::d_training_stage_cycles`] and friends) where
-/// each phase's initiation interval is its slowest stage.
+/// count *macro-cycles* (every stage padded to the slowest layer), so the
+/// model needs only the two networks' layer counts and the batch size.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReganPipeline {
     l_d: usize,
     l_g: usize,
     batch: usize,
-    d_stages: Vec<u64>,
-    g_stages: Vec<u64>,
 }
 
 impl ReganPipeline {
@@ -84,41 +79,7 @@ impl ReganPipeline {
     /// Panics if any argument is zero.
     pub fn new(l_d: usize, l_g: usize, batch: usize) -> Self {
         assert!(l_d > 0 && l_g > 0 && batch > 0, "zero pipeline parameter");
-        Self {
-            l_d,
-            l_g,
-            batch,
-            d_stages: vec![1; l_d],
-            g_stages: vec![1; l_g],
-        }
-    }
-
-    /// Creates a model with heterogeneous per-layer forward stage costs for
-    /// the discriminator (`d_stages`) and generator (`g_stages`), in
-    /// micro-cycles. Backward stages cost twice their forward counterpart.
-    /// The uniform [`ReganPipeline::new`] is the special case where every
-    /// entry is 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either stage vector is empty or contains a zero, or if
-    /// `batch` is zero.
-    pub fn with_stage_cycles(d_stages: Vec<u64>, g_stages: Vec<u64>, batch: usize) -> Self {
-        assert!(
-            !d_stages.is_empty() && !g_stages.is_empty() && batch > 0,
-            "zero pipeline parameter"
-        );
-        assert!(
-            d_stages.iter().chain(&g_stages).all(|&c| c > 0),
-            "every stage must cost at least one cycle"
-        );
-        Self {
-            l_d: d_stages.len(),
-            l_g: g_stages.len(),
-            batch,
-            d_stages,
-            g_stages,
-        }
+        Self { l_d, l_g, batch }
     }
 
     /// Discriminator depth `L_D`.
@@ -149,92 +110,6 @@ impl ReganPipeline {
     /// Per-input stage count of phase ③ (G through fixed D).
     pub fn phase3_latency(&self) -> u64 {
         (2 * self.l_g + 2 * self.l_d + 1) as u64
-    }
-
-    /// Per-layer forward stage costs of the discriminator, in micro-cycles.
-    pub fn d_stage_cycles(&self) -> &[u64] {
-        &self.d_stages
-    }
-
-    /// Per-layer forward stage costs of the generator, in micro-cycles.
-    pub fn g_stage_cycles(&self) -> &[u64] {
-        &self.g_stages
-    }
-
-    fn d_sum(&self) -> u64 {
-        self.d_stages.iter().sum()
-    }
-
-    fn g_sum(&self) -> u64 {
-        self.g_stages.iter().sum()
-    }
-
-    fn d_max(&self) -> u64 {
-        // lint:allow(panic) stage vectors are non-empty by construction.
-        *self.d_stages.iter().max().unwrap()
-    }
-
-    fn g_max(&self) -> u64 {
-        // lint:allow(panic) stage vectors are non-empty by construction.
-        *self.g_stages.iter().max().unwrap()
-    }
-
-    /// Heterogeneous per-input micro-cycle latency of phase ①: forward
-    /// through D (`Σd`), one loss stage, backward through D (`2Σd`).
-    pub fn phase1_stage_latency(&self) -> u64 {
-        3 * self.d_sum() + 1
-    }
-
-    /// Heterogeneous per-input micro-cycle latency of phase ②: forward
-    /// through G and D, loss, backward through D (G is not updated).
-    pub fn phase2_stage_latency(&self) -> u64 {
-        self.g_sum() + 3 * self.d_sum() + 1
-    }
-
-    /// Heterogeneous per-input micro-cycle latency of phase ③: forward and
-    /// backward through both networks.
-    pub fn phase3_stage_latency(&self) -> u64 {
-        3 * self.g_sum() + 3 * self.d_sum() + 1
-    }
-
-    /// Heterogeneous micro-cycles to update D once under `opt` — the
-    /// macro-cycle [`ReganPipeline::d_training_cycles`] schedule with each
-    /// phase's unit initiation interval replaced by its slowest stage
-    /// (backward stages cost double, so the interval of phase ① is
-    /// `2·max(d)` and of phase ② `max(max(g), 2·max(d))`).
-    pub fn d_training_stage_cycles(&self, opt: ReganOpt) -> u64 {
-        let b = self.batch as u64;
-        let p1 = self.phase1_stage_latency();
-        let p2 = self.phase2_stage_latency();
-        let ii1 = 2 * self.d_max();
-        let ii2 = self.g_max().max(2 * self.d_max());
-        match opt {
-            ReganOpt::NoPipeline => (p1 + p2) * b,
-            ReganOpt::Pipeline => (p1 + (b - 1) * ii1) + (p2 + (b - 1) * ii2) + 1,
-            ReganOpt::PipelineSp | ReganOpt::PipelineSpCs => (p2 + (b - 1) * ii2) + 1,
-        }
-    }
-
-    /// Heterogeneous micro-cycles to update G once under `opt` (phase ③'s
-    /// initiation interval is `2·max(max(g), max(d))` — the slowest
-    /// backward stage of either network).
-    pub fn g_training_stage_cycles(&self, opt: ReganOpt) -> u64 {
-        let b = self.batch as u64;
-        let p3 = self.phase3_stage_latency();
-        let ii3 = 2 * self.g_max().max(self.d_max());
-        match opt {
-            ReganOpt::NoPipeline => p3 * b,
-            _ => (p3 + (b - 1) * ii3) + 1,
-        }
-    }
-
-    /// Heterogeneous micro-cycles for one full iteration under `opt`
-    /// (CS collapses the iteration to ③'s span, as in the macro model).
-    pub fn iteration_stage_cycles(&self, opt: ReganOpt) -> u64 {
-        match opt {
-            ReganOpt::PipelineSpCs => self.g_training_stage_cycles(opt),
-            _ => self.d_training_stage_cycles(opt) + self.g_training_stage_cycles(opt),
-        }
     }
 
     /// Cycles to update D once (phases ① + ② + update).
@@ -530,61 +405,5 @@ mod tests {
     #[should_panic(expected = "zero pipeline parameter")]
     fn rejects_zero_depth() {
         let _ = ReganPipeline::new(0, 4, 32);
-    }
-
-    #[test]
-    fn hetero_phase_latencies() {
-        let p = ReganPipeline::with_stage_cycles(vec![3, 1], vec![2, 5, 4], 8);
-        // Σd = 4, Σg = 11.
-        assert_eq!(p.phase1_stage_latency(), 3 * 4 + 1);
-        assert_eq!(p.phase2_stage_latency(), 11 + 3 * 4 + 1);
-        assert_eq!(p.phase3_stage_latency(), 3 * 11 + 3 * 4 + 1);
-    }
-
-    #[test]
-    fn hetero_d_training_schedule() {
-        let p = ReganPipeline::with_stage_cycles(vec![3, 1], vec![2, 5, 4], 8);
-        let (p1, p2) = (p.phase1_stage_latency(), p.phase2_stage_latency());
-        // ii1 = 2·max(d) = 6; ii2 = max(max(g)=5, 2·max(d)=6) = 6.
-        assert_eq!(
-            p.d_training_stage_cycles(ReganOpt::Pipeline),
-            (p1 + 7 * 6) + (p2 + 7 * 6) + 1
-        );
-        assert_eq!(
-            p.d_training_stage_cycles(ReganOpt::PipelineSp),
-            (p2 + 7 * 6) + 1
-        );
-        assert_eq!(
-            p.d_training_stage_cycles(ReganOpt::NoPipeline),
-            (p1 + p2) * 8
-        );
-        // ii3 = 2·max(max(g), max(d)) = 10.
-        assert_eq!(
-            p.g_training_stage_cycles(ReganOpt::Pipeline),
-            p.phase3_stage_latency() + 7 * 10 + 1
-        );
-    }
-
-    #[test]
-    fn hetero_optimizations_never_hurt() {
-        let p = ReganPipeline::with_stage_cycles(vec![4, 2, 7, 1], vec![3, 6, 2], 32);
-        let cycles: Vec<u64> = ReganOpt::ALL
-            .iter()
-            .map(|&o| p.iteration_stage_cycles(o))
-            .collect();
-        for w in cycles.windows(2) {
-            assert!(w[0] >= w[1], "optimization hurt: {cycles:?}");
-        }
-    }
-
-    #[test]
-    fn uniform_stage_cycles_match_new() {
-        // with_stage_cycles(all ones) and new() agree on every API.
-        let a = ReganPipeline::new(4, 3, 16);
-        let b = ReganPipeline::with_stage_cycles(vec![1; 4], vec![1; 3], 16);
-        assert_eq!(a, b);
-        for opt in ReganOpt::ALL {
-            assert_eq!(a.iteration_stage_cycles(opt), b.iteration_stage_cycles(opt));
-        }
     }
 }

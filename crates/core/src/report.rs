@@ -1,31 +1,19 @@
 //! Assembly of structured run reports from accelerator analyses.
 //!
-//! Bridges the static analyses of this crate ([`crate::timing::NetworkTiming`], the layer
-//! mappings of Fig. 4) and the dynamic counters of `reram-telemetry` into
-//! one serializable [`RunReport`]: per-layer hardware cost from the closed
-//! forms, per-stage timing and raw event totals from whatever recorder the
-//! run installed. The closed forms here are the reference the telemetry
-//! counters are validated against — an instrumented simulation of a layer
-//! must observe exactly the conversion and write counts predicted below.
+//! Bridges the static analyses of this crate (the lowered
+//! [`ExecutionPlan`] and its layer mappings of Fig. 4) and the dynamic
+//! counters of `reram-telemetry` into one serializable [`RunReport`]:
+//! per-layer hardware cost from the plan's closed forms, per-stage timing
+//! and raw event totals from whatever recorder the run installed. The
+//! closed forms are the reference the telemetry counters are validated
+//! against — an instrumented simulation of a layer must observe exactly the
+//! conversion and write counts the plan predicts
+//! ([`crate::plan::adc_conversions`], [`crate::plan::cell_writes`]).
 
-use crate::mapping::LayerMapping;
-use crate::plan::{self, ExecutionPlan, LayerPlan};
+use crate::plan::{ExecutionPlan, LayerPlan};
 use crate::AcceleratorConfig;
 use reram_nn::NetworkSpec;
 use reram_telemetry::{CounterRecorder, LayerReport, RunReport};
-
-/// Closed-form I&F/ADC conversions of one forward input through a mapped
-/// layer — delegates to [`plan::adc_conversions`], the lowering pass's
-/// closed form.
-pub fn layer_adc_conversions(mapping: &LayerMapping, config: &AcceleratorConfig) -> u64 {
-    plan::adc_conversions(mapping, config)
-}
-
-/// Closed-form cell writes of programming a mapped layer's arrays once —
-/// delegates to [`plan::cell_writes`], the lowering pass's closed form.
-pub fn layer_cell_writes(mapping: &LayerMapping, config: &AcceleratorConfig) -> u64 {
-    plan::cell_writes(mapping, config)
-}
 
 fn layer_report(l: &LayerPlan) -> LayerReport {
     LayerReport {
@@ -81,7 +69,6 @@ pub fn build_run_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::NetworkTiming;
     use reram_nn::models;
     use reram_telemetry::Recorder;
 
@@ -98,20 +85,20 @@ mod tests {
 
     #[test]
     fn cell_writes_match_update_energy_model() {
-        // layer_cell_writes is the count behind update_energy_pj: cells x
-        // per-cell write energy must reproduce the timing model's figure.
+        // plan::cell_writes is the count behind update_energy_pj: cells x
+        // per-cell write energy must reproduce the plan's figure.
         let net = models::alexnet_spec();
         let cfg = AcceleratorConfig::default();
-        let timing = NetworkTiming::analyze(&net, &cfg);
+        let plan = ExecutionPlan::lower(&net, &cfg).expect("lowerable");
         let total_writes: u64 = layer_reports(&net, &cfg)
             .iter()
             .map(|l| l.cell_writes)
             .sum();
         let energy = total_writes as f64 * cfg.cost.cell_write_energy_pj;
         assert!(
-            (energy - timing.update_energy_pj).abs() / timing.update_energy_pj < 1e-12,
+            (energy - plan.update_energy_pj()).abs() / plan.update_energy_pj() < 1e-12,
             "{energy} vs {}",
-            timing.update_energy_pj
+            plan.update_energy_pj()
         );
     }
 
@@ -121,8 +108,9 @@ mod tests {
         // model's inf component for one forward input.
         let net = models::lenet_spec();
         let cfg = AcceleratorConfig::default();
-        let timing = NetworkTiming::analyze(&net, &cfg);
-        for (layer, m) in layer_reports(&net, &cfg).iter().zip(&timing.mappings) {
+        let plan = ExecutionPlan::lower(&net, &cfg).expect("lowerable");
+        for (layer, l) in layer_reports(&net, &cfg).iter().zip(&plan.layers) {
+            let m = &l.mapping;
             let grid =
                 cfg.cost
                     .grid_mvm_cost(&cfg.crossbar, m.row_tiles, m.col_tiles, cfg.activity);

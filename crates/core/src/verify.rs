@@ -611,7 +611,7 @@ pub fn check_replication_monotone(
     doubled: &ExecutionPlan,
     replication: usize,
 ) -> Option<Violation> {
-    let slowest = |p: &ExecutionPlan| p.stage_cycles().into_iter().max().unwrap_or(0);
+    let slowest = |p: &ExecutionPlan| p.layers.iter().map(|l| l.stage_cycles).max().unwrap_or(0);
     let (a, b) = (slowest(base), slowest(doubled));
     (b > a).then_some(Violation::ReplicationRegressed {
         replication,

@@ -1,14 +1,12 @@
 //! Telemetry counters observed from an instrumented crossbar simulation must
-//! match the closed-form predictions of the analytical timing and endurance
+//! match the closed-form predictions of the execution plan and endurance
 //! models — the contract that lets the cheap analytical path stand in for
 //! the simulator in the evaluation artifacts.
 
 use std::sync::Arc;
 
-use reram_core::timing::NetworkTiming;
-use reram_core::{
-    layer_adc_conversions, layer_cell_writes, AcceleratorConfig, EnduranceReport, ReplicationPolicy,
-};
+use reram_core::plan::{adc_conversions, cell_writes};
+use reram_core::{AcceleratorConfig, EnduranceReport, ExecutionPlan, ReplicationPolicy};
 use reram_crossbar::TiledMatrix;
 use reram_nn::{LayerSpec, NetworkSpec};
 use reram_telemetry::{scoped_recorder, CounterRecorder, Event};
@@ -28,15 +26,15 @@ fn probe_net(in_features: usize, out_features: usize) -> NetworkSpec {
 }
 
 #[test]
-fn simulated_counts_match_timing_and_endurance_closed_forms() {
+fn simulated_counts_match_plan_and_endurance_closed_forms() {
     // Replication off so the analytical mapping describes exactly the grid
     // the simulator programs; the default config is an ideal (noise-free)
     // device, so no spike pass is legally skipped for being all-zero.
     let config = AcceleratorConfig::default().with_replication(ReplicationPolicy::None);
     let (in_features, out_features) = (200, 40);
     let net = probe_net(in_features, out_features);
-    let timing = NetworkTiming::analyze(&net, &config);
-    let m = &timing.mappings[0];
+    let plan = ExecutionPlan::lower(&net, &config).expect("probe lowers");
+    let m = &plan.layers[0].mapping;
     assert!(
         m.row_tiles > 1 && m.col_tiles > 1,
         "probe must tile both ways"
@@ -53,7 +51,7 @@ fn simulated_counts_match_timing_and_endurance_closed_forms() {
     assert_eq!(grid.array_count(), m.arrays);
 
     // A weight update reprograms every cell of every array exactly once —
-    // the count behind NetworkTiming::update_energy_pj and the
+    // the count behind ExecutionPlan::update_energy_pj and the
     // one-write-per-cell-per-batch wear unit of EnduranceReport. (Initial
     // construction also forms cells, so measure the reprogram delta.)
     let writes_before = counters.count(Event::CellWrite);
@@ -63,7 +61,7 @@ fn simulated_counts_match_timing_and_endurance_closed_forms() {
     grid.reprogram(&w2);
     assert_eq!(
         counters.count(Event::CellWrite) - writes_before,
-        layer_cell_writes(m, &config),
+        cell_writes(m, &config),
         "one weight update must write each cell once"
     );
     assert_eq!(counters.count(Event::WeightUpdate), 1);
@@ -79,7 +77,7 @@ fn simulated_counts_match_timing_and_endurance_closed_forms() {
     let _ = grid.matvec(&x);
     assert_eq!(
         counters.count(Event::AdcConversion),
-        layer_adc_conversions(m, &config),
+        adc_conversions(m, &config),
         "one forward pass must convert frames x bitlines on every array"
     );
     assert_eq!(counters.count(Event::CrossbarMvm), m.arrays as u64);

@@ -12,7 +12,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `layering` | crate dependencies point down the stack, no back-edges |
-//! | `units` | cost/timing/report quantities carry unit suffixes; no cross-dimension `+`/`-` |
+//! | `units` | cost/plan/report quantities carry unit suffixes; no cross-dimension `+`/`-` |
 //! | `telemetry-coverage` | every `telemetry::Event` variant is emitted outside the telemetry crate |
 //! | `panic` | no `unwrap`/`expect`/`panic!`/`todo!` in library code without an annotated reason |
 //! | `determinism` | no `Instant`/`SystemTime`/`HashMap` in simulation paths; crate roots forbid `unsafe_code` |

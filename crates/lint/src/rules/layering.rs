@@ -63,40 +63,31 @@ pub const CORE_MODULES: &[&str] = &[
     "regan",
     "report",
     "subarray",
-    "timing",
     "verify",
 ];
 
 /// Sanctioned `(from, to)` module edges inside `reram-core`. The plan IR
-/// is the hub: `plan` lowers specs onto `mapping` and hands stage vectors
-/// to `pipeline`/`regan`, while `timing`, `report` and `accelerator`
+/// is the hub and the one pricing model: `plan` lowers specs onto
+/// `mapping`, while `accelerator`, `chip`, `endurance` and `report`
 /// consume the lowered plan instead of re-walking the spec.
 pub const CORE_MODULE_EDGES: &[(&str, &str)] = &[
     ("accelerator", "pipeline"),
     ("accelerator", "plan"),
     ("accelerator", "regan"),
-    ("accelerator", "timing"),
-    ("chip", "mapping"),
-    ("chip", "timing"),
+    ("chip", "plan"),
     ("compiler", "isa"),
     ("compiler", "subarray"),
     ("config", "mapping"),
-    ("endurance", "timing"),
+    ("endurance", "plan"),
     ("plan", "mapping"),
-    ("plan", "pipeline"),
-    ("plan", "regan"),
     // lower() re-verifies its own output in debug builds; the verifier in
     // turn recomputes mapping/plan closed forms. A sanctioned 2-cycle.
     ("plan", "verify"),
     ("verify", "mapping"),
     ("verify", "plan"),
     ("regan", "pipeline"),
-    ("report", "mapping"),
     ("report", "plan"),
-    ("report", "timing"),
     ("subarray", "isa"),
-    ("timing", "mapping"),
-    ("timing", "plan"),
 ];
 
 const RULE: &str = "layering";

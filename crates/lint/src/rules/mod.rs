@@ -23,7 +23,7 @@ pub const RULES: &[(&str, &str, RuleFn)] = &[
     ),
     (
         "units",
-        "f64 quantities in crossbar::cost / core::timing / core::report carry unit suffixes; no cross-dimension +/-",
+        "f64 quantities in crossbar::cost / core::plan / core::report carry unit suffixes; no cross-dimension +/-",
         units::check,
     ),
     (

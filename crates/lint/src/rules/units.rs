@@ -1,8 +1,8 @@
-//! Rule `units`: physical quantities in the cost/timing/report models must
+//! Rule `units`: physical quantities in the cost/plan/report models must
 //! name their unit.
 //!
 //! The closed-form hardware accounting lives in three modules —
-//! `crossbar::cost`, `core::timing`, and `core::report`. Every `f64`/`f32`
+//! `crossbar::cost`, `core::plan`, and `core::report`. Every `f64`/`f32`
 //! struct field and constant there is a physical quantity, and its
 //! identifier must carry a unit segment (`_pj`, `_ns`, `_cycles`, `_mw`,
 //! `_bits`, ...); integer fields are counts and stay unit-free. On top of
@@ -20,7 +20,7 @@ const RULE: &str = "units";
 /// `(crate, file suffix)` pairs the rule applies to.
 pub const SCOPED_FILES: &[(&str, &str)] = &[
     ("reram-crossbar", "src/cost.rs"),
-    ("reram-core", "src/timing.rs"),
+    ("reram-core", "src/plan/mod.rs"),
     ("reram-core", "src/report.rs"),
 ];
 

@@ -108,13 +108,13 @@ fn layering_accepts_sanctioned_core_module_edges() {
     // and annotated lines must all stay quiet.
     let plan_src = "#![forbid(unsafe_code)]\n\
                     use crate::mapping::LayerMapping;\n\
-                    use crate::pipeline::PipelineModel;\n\
+                    use crate::verify::verify_plan;\n\
                     pub use crate::plan::layer::LayerPlan;\n";
-    let timing_src = "#![forbid(unsafe_code)]\n\
-                      use crate::plan::ExecutionPlan;\n\
-                      // lint:allow(layering) doc example exercises the report facade\n\
-                      use crate::report::RunReport;\n\
-                      #[cfg(test)]\nmod tests {\n    use crate::accelerator::PipeLayerAccelerator;\n}\n";
+    let chip_src = "#![forbid(unsafe_code)]\n\
+                    use crate::plan::ExecutionPlan;\n\
+                    // lint:allow(layering) doc example exercises the report facade\n\
+                    use crate::report::RunReport;\n\
+                    #[cfg(test)]\nmod tests {\n    use crate::accelerator::PipeLayerAccelerator;\n}\n";
     let root_src = "#![forbid(unsafe_code)]\npub use crate::plan::ExecutionPlan;\n";
     let m = manifest("reram-core", &[]);
     let ws = Workspace::from_sources(&[(
@@ -123,7 +123,7 @@ fn layering_accepts_sanctioned_core_module_edges() {
         &[
             ("crates/core/src/lib.rs", root_src),
             ("crates/core/src/plan/mod.rs", plan_src),
-            ("crates/core/src/timing.rs", timing_src),
+            ("crates/core/src/chip.rs", chip_src),
         ],
     )]);
     let diags = check_workspace(&ws);
@@ -172,12 +172,12 @@ fn units_flags_cross_dimension_addition() {
         &m,
         &[
             ("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            ("crates/core/src/timing.rs", src),
+            ("crates/core/src/plan/mod.rs", src),
         ],
     )]);
     let hits = rules_hit(&ws);
     assert!(
-        hits.contains(&("crates/core/src/timing.rs:3".to_owned(), "units")),
+        hits.contains(&("crates/core/src/plan/mod.rs:3".to_owned(), "units")),
         "ns + pj must trip: {hits:?}"
     );
 }

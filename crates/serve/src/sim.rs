@@ -430,30 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_events_flow() {
-        use std::sync::Arc;
-        let counters = Arc::new(telemetry::CounterRecorder::new());
-        let report;
-        {
-            let _guard = telemetry::scoped_recorder(counters.clone());
-            report =
-                simulate(&config(), &catalog(), &AcceleratorConfig::default()).expect("simulates");
-        }
-        assert_eq!(
-            counters.count(telemetry::Event::RequestEnqueued),
-            report.requests_admitted
-        );
-        assert_eq!(
-            counters.count(telemetry::Event::RequestCompleted),
-            report.requests_completed
-        );
-        assert_eq!(
-            counters.count(telemetry::Event::BatchFormed),
-            report.batches
-        );
-    }
-
-    #[test]
     fn zero_max_batch_is_rejected() {
         let mut cfg = config();
         cfg.batcher.max_batch = 0;

@@ -12,7 +12,7 @@
 //! cargo run --example bank_program --release
 //! ```
 
-use reram_core::compiler::{CompiledMlp, FcStage, TrainableMlp};
+use reram_core::compiler::{CompiledNetwork, NetStage, TrainableMlp};
 use reram_core::isa::{Instruction, SubarrayMode};
 use reram_core::subarray::Bank;
 use reram_crossbar::CrossbarConfig;
@@ -92,33 +92,34 @@ fn main() {
     // Same thing, compiled: the control unit's orchestration generated
     // automatically from a layer stack.
     println!("\n-- compiled three-layer MLP --");
-    let mut mlp = CompiledMlp::compile(
+    let mut mlp = CompiledNetwork::compile(
+        (8, 1, 1),
         vec![
-            FcStage::new(
-                Matrix::from_fn(Shape2::new(10, 8), |r, c| {
+            NetStage::Fc {
+                weights: Matrix::from_fn(Shape2::new(10, 8), |r, c| {
                     (((r * 7 + c * 5) % 13) as f32 - 6.0) / 8.0
                 }),
-                Some(Activation::Relu),
-            ),
-            FcStage::new(
-                Matrix::from_fn(Shape2::new(6, 10), |r, c| {
+                activation: Some(Activation::Relu),
+            },
+            NetStage::Fc {
+                weights: Matrix::from_fn(Shape2::new(6, 10), |r, c| {
                     (((r * 5 + c * 3 + 1) % 13) as f32 - 6.0) / 8.0
                 }),
-                Some(Activation::Relu),
-            ),
-            FcStage::new(
-                Matrix::from_fn(Shape2::new(3, 6), |r, c| {
+                activation: Some(Activation::Relu),
+            },
+            NetStage::Fc {
+                weights: Matrix::from_fn(Shape2::new(3, 6), |r, c| {
                     (((r * 3 + c * 7 + 2) % 13) as f32 - 6.0) / 8.0
                 }),
-                None,
-            ),
+                activation: None,
+            },
         ],
         &CrossbarConfig::default(),
     )
     .expect("layer stack compiles");
     let input: Vec<f32> = (0..8).map(|i| (i % 5) as f32 / 5.0 - 0.4).collect();
-    let got = mlp.infer(&input);
-    let want = mlp.infer_exact(&input);
+    let got = mlp.forward(&input);
+    let want = mlp.forward_exact(&input);
     println!("crossbar: {:?}", round3(&got));
     println!("exact:    {:?}", round3(&want));
     let s = mlp.stats();

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Static checks for the first-party crates: formatting and lints.
+# Checks for the first-party crates: formatting, lints, their own tests,
+# and a compile-only build of the benchmark package.
 #
 # Offline-tolerant: runs with --offline against the in-repo vendor/ crates,
 # and each tool is skipped with a notice when its rustup component is not
@@ -56,6 +57,17 @@ cargo run --offline -q -p reram-lint -- --plans || status=1
 
 echo "== cargo build --examples =="
 cargo build --offline -q --examples || status=1
+
+echo "== cargo test (first-party crates) =="
+pkg_flags=()
+for pkg in "${FIRST_PARTY[@]}"; do
+    pkg_flags+=(-p "$pkg")
+done
+cargo test --offline -q --no-fail-fast "${pkg_flags[@]}" || status=1
+
+# Compile only: a core API change that breaks the benchmark fails here.
+echo "== cargo build perfbench (compile only) =="
+cargo build --offline -q --manifest-path perfbench/Cargo.toml || status=1
 
 if rustdoc --version >/dev/null 2>&1; then
     echo "== cargo doc -D warnings =="

@@ -4,8 +4,7 @@
 
 use reram_suite::core::accelerator::{PipeLayerAccelerator, ReGanAccelerator};
 use reram_suite::core::mapping::{map_network, ReplicationPolicy};
-use reram_suite::core::timing::NetworkTiming;
-use reram_suite::core::{AcceleratorConfig, PipelineModel, ReganOpt, ReganPipeline};
+use reram_suite::core::{AcceleratorConfig, ExecutionPlan, PipelineModel, ReganOpt, ReganPipeline};
 use reram_suite::gpu::GpuModel;
 use reram_suite::nn::models;
 
@@ -63,7 +62,7 @@ fn timing_arrays_respect_budget_policy() {
     for budget in [32_768usize, 131_072] {
         let cfg =
             AcceleratorConfig::default().with_replication(ReplicationPolicy::ArrayBudget(budget));
-        let t = NetworkTiming::analyze(&models::alexnet_spec(), &cfg);
+        let t = ExecutionPlan::lower(&models::alexnet_spec(), &cfg).expect("lowers");
         // AlexNet's unreplicated floor is well under 32K arrays.
         assert!(
             t.total_arrays <= budget,

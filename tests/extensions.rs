@@ -2,7 +2,7 @@
 //! trainer loop with momentum and dropout, LUT activations in a live
 //! network, and the compiled bank program against the functional model.
 
-use reram_suite::core::compiler::{CompiledMlp, FcStage};
+use reram_suite::core::compiler::{CompiledNetwork, NetStage};
 use reram_suite::crossbar::CrossbarConfig;
 use reram_suite::datasets::Dataset;
 use reram_suite::nn::activations::Activation;
@@ -97,17 +97,24 @@ fn compiled_bank_program_matches_functional_network() {
         .push(ActivationLayer::relu())
         .push(l2);
 
-    let mut compiled = CompiledMlp::compile(
+    let mut compiled = CompiledNetwork::compile(
+        (6, 1, 1),
         vec![
-            FcStage::new(w1, Some(Activation::Relu)),
-            FcStage::new(w2, None),
+            NetStage::Fc {
+                weights: w1,
+                activation: Some(Activation::Relu),
+            },
+            NetStage::Fc {
+                weights: w2,
+                activation: None,
+            },
         ],
         &CrossbarConfig::default(),
     )
     .expect("layer stack compiles");
 
     let x: Vec<f32> = (0..6).map(|i| (i as f32) / 6.0 - 0.4).collect();
-    let bank_out = compiled.infer(&x);
+    let bank_out = compiled.forward(&x);
     let net_out = net.forward(
         &reram_suite::tensor::Tensor::from_vec(Shape4::new(1, 6, 1, 1), x.clone()),
         false,
