@@ -202,8 +202,11 @@ pub fn energy_breakdown() -> Table {
         models::alexnet_spec(),
         models::vgg_a_spec(),
     ] {
+        #[expect(
+            clippy::expect_used,
+            reason = "zoo networks lower under the default config"
+        )]
         let plan = ExecutionPlan::lower(&net, &AcceleratorConfig::default())
-            // lint:allow(panic) zoo networks lower under the default config
             .expect("zoo network lowers under default config");
         let b = plan.training_energy_breakdown(512, 16);
         let pct = |x: f64| format!("{:.1}%", 100.0 * x / b.total_j());
@@ -235,13 +238,16 @@ pub fn chip_plan() -> Table {
         models::alexnet_spec(),
         models::vgg_a_spec(),
     ] {
+        #[expect(
+            clippy::expect_used,
+            reason = "zoo networks plan under the default config"
+        )]
         let p = ChipPlan::plan(
             &net,
             &AcceleratorConfig::default(),
             BankShape::default(),
             32,
         )
-        // lint:allow(panic) zoo networks plan under the default config
         .expect("zoo network plans under default config");
         t.row([
             net.name.clone(),

@@ -38,6 +38,10 @@ pub fn catalog() -> [NetworkSpec; 2] {
 }
 
 /// Simulates one (policy, arrival-rate) cell of the sweep.
+#[expect(
+    clippy::expect_used,
+    reason = "fixed zoo networks under the default config always plan"
+)]
 pub fn measure(policy: Policy, rate_rps: f64) -> ServeReport {
     let cfg = ServeConfig {
         chips: CHIPS,
@@ -48,7 +52,6 @@ pub fn measure(policy: Policy, rate_rps: f64) -> ServeReport {
         seed: SEED,
         ..ServeConfig::default()
     };
-    // lint:allow(panic) fixed zoo networks under the default config always plan
     simulate(&cfg, &catalog(), &AcceleratorConfig::default()).expect("serving sweep simulates")
 }
 
@@ -79,7 +82,10 @@ pub fn run() -> Table {
     let mut reports = measure_all().into_iter();
     for rate in ARRIVAL_RATES_RPS {
         for _ in Policy::ALL {
-            // lint:allow(panic) measure_all emits exactly rates x policies cells
+            #[expect(
+                clippy::expect_used,
+                reason = "measure_all emits exactly rates x policies cells"
+            )]
             let r = reports.next().expect("sweep covers every cell");
             t.row([
                 r.policy.clone(),
@@ -126,13 +132,19 @@ pub fn bench_records() -> Vec<ServeBenchRecord> {
     let mut reports = measure_all().into_iter();
     for rate in ARRIVAL_RATES_RPS {
         for _ in Policy::ALL {
-            // lint:allow(panic) measure_all emits exactly rates x policies cells
+            #[expect(
+                clippy::expect_used,
+                reason = "measure_all emits exactly rates x policies cells"
+            )]
             let r = reports.next().expect("sweep covers every cell");
+            #[expect(
+                clippy::expect_used,
+                reason = "every sweep cell admits and completes requests"
+            )]
             out.push(ServeBenchRecord {
                 policy: r.policy,
                 arrival_rate_rps: rate,
                 throughput_rps: r.throughput_rps,
-                // lint:allow(panic) every sweep cell admits and completes requests
                 p99_latency_ns: r.p99_latency_ns.expect("sweep cells complete requests"),
             });
         }

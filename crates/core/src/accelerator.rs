@@ -63,9 +63,12 @@ impl PipeLayerAccelerator {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: AcceleratorConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented constructor contract — invalid configs abort"
+        )]
         config
             .validate()
-            // lint:allow(panic) documented constructor contract — invalid configs abort
             .unwrap_or_else(|e| panic!("invalid accelerator config: {e}"));
         Self { config }
     }
@@ -85,9 +88,12 @@ impl PipeLayerAccelerator {
         ExecutionPlan::lower(net, &self.config)
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "documented contract — unliftable networks abort costing"
+    )]
     fn plan_or_panic(&self, net: &NetworkSpec) -> ExecutionPlan {
         self.plan(net)
-            // lint:allow(panic) documented contract — unliftable networks abort costing
             .unwrap_or_else(|e| panic!("cannot plan {}: {e}", net.name))
     }
 
@@ -197,9 +203,12 @@ impl ReGanAccelerator {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: AcceleratorConfig, opt: ReganOpt) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented constructor contract — invalid configs abort"
+        )]
         config
             .validate()
-            // lint:allow(panic) documented constructor contract — invalid configs abort
             .unwrap_or_else(|e| panic!("invalid accelerator config: {e}"));
         Self { config, opt }
     }
@@ -223,11 +232,17 @@ impl ReGanAccelerator {
     ) -> AccelReport {
         assert!(iterations > 0, "need at least one iteration");
         let mut span = Span::enter("accel/regan_train_cost");
+        #[expect(
+            clippy::panic,
+            reason = "documented contract — unliftable networks abort costing"
+        )]
         let g_plan = ExecutionPlan::lower(generator, &self.config)
-            // lint:allow(panic) documented contract — unliftable networks abort costing
             .unwrap_or_else(|e| panic!("cannot plan {}: {e}", generator.name));
+        #[expect(
+            clippy::panic,
+            reason = "documented contract — unliftable networks abort costing"
+        )]
         let d_plan = ExecutionPlan::lower(discriminator, &self.config)
-            // lint:allow(panic) documented contract — unliftable networks abort costing
             .unwrap_or_else(|e| panic!("cannot plan {}: {e}", discriminator.name));
         let pipe = ReganPipeline::new(
             d_plan.weighted_layer_count(),

@@ -159,6 +159,10 @@ impl TrainableMlp {
     /// # Panics
     ///
     /// Panics if `input.len()` differs from the first layer's width.
+    #[expect(
+        clippy::expect_used,
+        reason = "ReadMem of a slot this compiler wrote always yields data"
+    )]
     pub fn forward(&mut self, input: &[f32]) -> Vec<f32> {
         assert_eq!(input.len(), self.weights[0].cols(), "input length");
         self.ensure_setup();
@@ -180,7 +184,6 @@ impl TrainableMlp {
         }
         self.bank
             .execute(Instruction::ReadMem { mem: self.depth() })
-            // lint:allow(panic) ReadMem of a slot this compiler wrote always yields data
             .expect("read returns data")
     }
 
@@ -222,10 +225,13 @@ impl TrainableMlp {
         for i in (0..depth).rev() {
             // Activation of this layer's output (slot i+1) for the ReLU
             // derivative, and its input (slot i) for the weight gradient.
+            #[expect(
+                clippy::expect_used,
+                reason = "forward pass buffered this slot earlier in the step"
+            )]
             let out_act = self
                 .bank
                 .execute(Instruction::ReadMem { mem: i + 1 })
-                // lint:allow(panic) forward pass buffered this slot earlier in the step
                 .expect("activation buffered");
             if self.relu[i] {
                 for (e, &a) in error.iter_mut().zip(&out_act) {
@@ -234,10 +240,13 @@ impl TrainableMlp {
                     }
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "forward pass buffered this slot earlier in the step"
+            )]
             let in_act = self
                 .bank
                 .execute(Instruction::ReadMem { mem: i })
-                // lint:allow(panic) forward pass buffered this slot earlier in the step
                 .expect("activation buffered");
             // Weight gradient: e ⊗ x (control-unit outer-product logic).
             let w = &self.weights[i];
@@ -249,6 +258,10 @@ impl TrainableMlp {
             }
             grads.push(grad);
             // Propagate the error through the transposed grid on the bank.
+            #[expect(
+                clippy::expect_used,
+                reason = "error slot written by the preceding backward stage"
+            )]
             if i > 0 {
                 self.bank.execute(Instruction::LoadMem {
                     mem: err_a,
@@ -262,7 +275,6 @@ impl TrainableMlp {
                 error = self
                     .bank
                     .execute(Instruction::ReadMem { mem: err_b })
-                    // lint:allow(panic) error slot written by the preceding backward stage
                     .expect("propagated error");
             }
         }
@@ -558,6 +570,10 @@ impl CompiledNetwork {
     /// # Panics
     ///
     /// Panics if `input.len() != self.input_len()`.
+    #[expect(
+        clippy::expect_used,
+        reason = "every stage leaves its output in the ping-pong slot"
+    )]
     pub fn forward(&mut self, input: &[f32]) -> Vec<f32> {
         let _span = Span::enter("bank/net_forward");
         assert_eq!(
@@ -591,10 +607,13 @@ impl CompiledNetwork {
                     // The control unit unrolls the stored feature map into
                     // receptive fields (Fig. 4's 1152×1 input vectors) and
                     // issues one MVM per output position.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "ping-pong slot written by the previous stage"
+                    )]
                     let data = self
                         .bank
                         .execute(Instruction::ReadMem { mem: cur })
-                        // lint:allow(panic) ping-pong slot written by the previous stage
                         .expect("feature map buffered");
                     let t = Tensor::from_vec(Shape4::new(1, *in_c, *in_h, *in_w), data);
                     let patches = ops::im2col(&t, 0, *k, *k, *stride, *pad);
@@ -611,10 +630,13 @@ impl CompiledNetwork {
                             dst_mem: 3,
                             activation: *activation,
                         });
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "slot 3 written by the Compute just issued"
+                        )]
                         let y = self
                             .bank
                             .execute(Instruction::ReadMem { mem: 3 })
-                            // lint:allow(panic) slot 3 written by the Compute just issued
                             .expect("conv result buffered");
                         for (oc, &v) in y.iter().enumerate() {
                             out[oc * npos + pos] = v;
@@ -657,10 +679,13 @@ impl CompiledNetwork {
                     cur = 1 - cur;
                 }
                 LoweredStage::Act(a) => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "ping-pong slot written by the previous stage"
+                    )]
                     let mut data = self
                         .bank
                         .execute(Instruction::ReadMem { mem: cur })
-                        // lint:allow(panic) ping-pong slot written by the previous stage
                         .expect("feature map buffered");
                     for v in &mut data {
                         *v = a.apply(*v);
@@ -673,7 +698,6 @@ impl CompiledNetwork {
         }
         self.bank
             .execute(Instruction::ReadMem { mem: cur })
-            // lint:allow(panic) every stage leaves its output in the ping-pong slot
             .expect("network output buffered")
     }
 

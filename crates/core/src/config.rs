@@ -11,22 +11,15 @@ pub struct AcceleratorConfig {
     pub cost: CrossbarCostModel,
     /// Weight replication policy (the `X` of Fig. 4(b)).
     pub replication: ReplicationPolicy,
-    /// Average input spike activity used for energy estimates.
+    /// Average input spike activity used for energy estimates: the fraction
+    /// of wordline spikes that fire, scaling spike-driver and cell-read
+    /// energy (not latency). The derived `Default` is `0.0`, which charges
+    /// no spike-driver or cell-read energy; every published table uses that
+    /// default.
     pub activity: f64,
 }
 
 impl AcceleratorConfig {
-    /// Default configuration: 128×128 arrays, 16-bit weights/inputs, and a
-    /// per-layer array budget sized like PipeLayer's evaluation setup.
-    pub fn new() -> Self {
-        Self {
-            crossbar: CrossbarConfig::default(),
-            cost: CrossbarCostModel::default(),
-            replication: ReplicationPolicy::default(),
-            activity: 0.5,
-        }
-    }
-
     /// Same configuration with a different replication policy.
     pub fn with_replication(mut self, replication: ReplicationPolicy) -> Self {
         self.replication = replication;
@@ -55,7 +48,6 @@ mod tests {
     #[test]
     fn default_validates() {
         assert_eq!(AcceleratorConfig::default().validate(), Ok(()));
-        assert_eq!(AcceleratorConfig::new().validate(), Ok(()));
     }
 
     #[test]

@@ -72,8 +72,11 @@ impl EnduranceReport {
     /// replication policy).
     pub fn analyze(net: &NetworkSpec, config: &AcceleratorConfig, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be positive");
+        #[expect(
+            clippy::panic,
+            reason = "documented contract — unliftable networks abort analysis"
+        )]
         let plan = ExecutionPlan::lower(net, config)
-            // lint:allow(panic) documented contract — unliftable networks abort analysis
             .unwrap_or_else(|e| panic!("cannot plan {}: {e}", net.name));
         let batch_cycles = (2 * plan.weighted_layer_count() + batch) as u64;
         let batch_time_s = plan.cycles_to_seconds(batch_cycles, 1, true);

@@ -148,29 +148,54 @@ mod tests {
 
     #[test]
     fn mnemonics_are_distinct() {
-        use std::collections::HashSet;
-        let m: HashSet<&str> = [
+        use std::collections::BTreeSet;
+        let weights = || Matrix::zeros(reram_tensor::Shape2::new(1, 1));
+        let all = [
             Instruction::SetMode {
                 subarray: 0,
                 mode: SubarrayMode::Memory,
-            }
-            .mnemonic(),
+            },
+            Instruction::Program {
+                subarray: 0,
+                weights: weights(),
+            },
+            Instruction::ProgramTraining {
+                subarray: 0,
+                weights: weights(),
+            },
             Instruction::LoadMem {
                 mem: 0,
                 data: vec![],
-            }
-            .mnemonic(),
-            Instruction::ReadMem { mem: 0 }.mnemonic(),
-            Instruction::StoreBuffer { src_mem: 0 }.mnemonic(),
-            Instruction::MemRead { subarray: 0 }.mnemonic(),
+            },
+            Instruction::Compute {
+                subarray: 0,
+                src_mem: 0,
+                dst_mem: 1,
+                activation: None,
+            },
+            Instruction::ComputeTransposed {
+                subarray: 0,
+                src_mem: 0,
+                dst_mem: 1,
+            },
+            Instruction::MaxPool {
+                src_mem: 0,
+                dst_mem: 1,
+                c: 1,
+                k: 2,
+                stride: 2,
+                in_h: 2,
+                in_w: 2,
+            },
+            Instruction::StoreBuffer { src_mem: 0 },
+            Instruction::ReadMem { mem: 0 },
             Instruction::MemWrite {
                 subarray: 0,
                 data: vec![],
-            }
-            .mnemonic(),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(m.len(), 6);
+            },
+            Instruction::MemRead { subarray: 0 },
+        ];
+        let m: BTreeSet<&str> = all.iter().map(Instruction::mnemonic).collect();
+        assert_eq!(m.len(), 11, "one distinct mnemonic per Instruction variant");
     }
 }

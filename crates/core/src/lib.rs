@@ -45,11 +45,11 @@
 //! assert!(report.time_s < gpu.time_s, "PIM must beat the GPU on training");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Outer-product and matrix-walk loops index several vectors by the same
-// coordinate; explicit indices mirror the equations they implement.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "outer-product and matrix-walk loops index several vectors by the same coordinate; explicit indices mirror the equations they implement"
+)]
 
 pub mod accelerator;
 pub mod chip;

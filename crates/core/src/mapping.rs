@@ -141,11 +141,17 @@ impl LayerMapping {
     ///
     /// Panics if `layer` is not weighted or the scheme is degenerate.
     pub fn map(layer: &LayerSpec, config: &AcceleratorConfig, scheme: MappingScheme) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented caller contract — weighted layers only"
+        )]
         let (in_dim, out_dim) = layer
             .crossbar_matrix()
-            // lint:allow(panic) documented caller contract — weighted layers only
             .expect("only weighted layers map to crossbars");
-        // lint:allow(panic) documented caller contract — weighted layers only
+        #[expect(
+            clippy::expect_used,
+            reason = "documented caller contract — weighted layers only"
+        )]
         let mvms = layer.mvm_count().expect("weighted layers have MVM counts");
 
         let (row_tiles, col_tiles, replication) = match scheme {
@@ -194,7 +200,10 @@ impl LayerMapping {
         layer: &LayerSpec,
         config: &AcceleratorConfig,
     ) -> Result<Self, MappingError> {
-        // lint:allow(panic) caller contract — only weighted layers map to crossbars
+        #[expect(
+            clippy::expect_used,
+            reason = "caller contract — only weighted layers map to crossbars"
+        )]
         let mvms = layer.mvm_count().expect("weighted layers have MVM counts");
         let x = config.replication.replication_for(mvms)?;
         Ok(Self::map(
@@ -274,7 +283,10 @@ pub fn map_network(
             Ok(net
                 .weighted_layers()
                 .map(|l| {
-                    // lint:allow(panic) weighted_layers() yields weighted layers only
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "weighted_layers() yields weighted layers only"
+                    )]
                     let mvms = l.mvm_count().expect("weighted layer");
                     let x = mvms.div_ceil(t).max(1);
                     LayerMapping::map(l, config, MappingScheme::Balanced { replication: x })

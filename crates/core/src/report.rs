@@ -38,8 +38,11 @@ fn layer_report(l: &LayerPlan) -> LayerReport {
 /// Panics if the network has no weighted layers or the configuration is
 /// invalid.
 pub fn layer_reports(net: &NetworkSpec, config: &AcceleratorConfig) -> Vec<LayerReport> {
+    #[expect(
+        clippy::panic,
+        reason = "documented contract — unliftable networks abort reporting"
+    )]
     let plan = ExecutionPlan::lower(net, config)
-        // lint:allow(panic) documented contract — unliftable networks abort reporting
         .unwrap_or_else(|e| panic!("cannot plan {}: {e}", net.name));
     plan.layers.iter().map(layer_report).collect()
 }

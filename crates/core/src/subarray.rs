@@ -93,6 +93,10 @@ impl MorphableSubarray {
     ///
     /// Panics if the subarray is in memory mode or was not programmed with
     /// [`MorphableSubarray::program_training`].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented caller contract — program_training first"
+    )]
     pub fn compute_transposed(&mut self, error: &[f32]) -> Vec<f32> {
         assert_eq!(
             self.mode,
@@ -101,7 +105,6 @@ impl MorphableSubarray {
         );
         self.weights_t
             .as_mut()
-            // lint:allow(panic) documented caller contract — program_training first
             .expect("compute_transposed requires program_training")
             .matvec(error)
     }
@@ -112,6 +115,10 @@ impl MorphableSubarray {
     ///
     /// Panics if the subarray is in memory mode or has no programmed
     /// weights.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented caller contract — program weights first"
+    )]
     pub fn compute(&mut self, input: &[f32]) -> Vec<f32> {
         assert_eq!(
             self.mode,
@@ -120,7 +127,6 @@ impl MorphableSubarray {
         );
         self.weights
             .as_mut()
-            // lint:allow(panic) documented caller contract — program weights first
             .expect("compute issued before programming weights")
             .matvec(input)
     }

@@ -690,12 +690,10 @@ pub fn verify_serve(plans: &[ExecutionPlan], shape: &ServeShape) -> Vec<Violatio
         return v;
     }
     let batch = shape.max_batch;
-    let latencies: Vec<f64> = plans
+    let slowest_batch_ns = plans
         .iter()
         .map(|p| p.batch_inference_latency_ns(batch))
-        .collect();
-
-    let slowest_batch_ns = latencies.iter().fold(0.0f64, |a, &b| a.max(b));
+        .fold(0.0f64, f64::max);
     if shape.max_linger_ns as f64 > LINGER_FACTOR * slowest_batch_ns {
         v.push(Violation::LingerExcessive {
             max_linger_ns: shape.max_linger_ns,
@@ -703,7 +701,33 @@ pub fn verify_serve(plans: &[ExecutionPlan], shape: &ServeShape) -> Vec<Violatio
         });
     }
 
-    // Mean service time per request: mix-weighted amortized batch latency.
+    if let Some(service_rps) = service_rps(plans, shape) {
+        if shape.mean_arrival_rps.is_finite() {
+            let rho = shape.mean_arrival_rps / service_rps;
+            if rho >= 1.0 {
+                v.push(Violation::Overload {
+                    rho,
+                    arrival_rps: shape.mean_arrival_rps,
+                    service_rps,
+                });
+            }
+        }
+    }
+    v
+}
+
+/// Plan-priced service capacity of a serving shape, requests per second:
+/// `chips / s̄`, with `s̄` the mix-weighted amortized full-batch latency per
+/// request (uniform weights when `shape.mix` is empty, mismatched, or not a
+/// valid non-negative mix). `None` when the shape or catalog is degenerate
+/// or `s̄` is not positive. This is the `μ` that [`verify_serve`] prices
+/// stability against.
+#[must_use = "the capacity is the result"]
+pub fn service_rps(plans: &[ExecutionPlan], shape: &ServeShape) -> Option<f64> {
+    if plans.is_empty() || shape.chips == 0 || shape.max_batch == 0 {
+        return None;
+    }
+    let batch = shape.max_batch;
     let weights: Vec<f64> = if shape.mix.len() == plans.len()
         && shape.mix.iter().all(|w| w.is_finite() && *w >= 0.0)
         && shape.mix.iter().sum::<f64>() > 0.0
@@ -713,23 +737,12 @@ pub fn verify_serve(plans: &[ExecutionPlan], shape: &ServeShape) -> Vec<Violatio
         vec![1.0; plans.len()]
     };
     let total_weight: f64 = weights.iter().sum();
-    let mean_service_ns: f64 = latencies
+    let mean_service_ns: f64 = plans
         .iter()
         .zip(&weights)
-        .map(|(lat, w)| (w / total_weight) * lat / batch as f64)
+        .map(|(plan, w)| (w / total_weight) * plan.batch_inference_latency_ns(batch) / batch as f64)
         .sum();
-    if mean_service_ns > 0.0 && shape.mean_arrival_rps.is_finite() {
-        let service_rps = shape.chips as f64 * 1e9 / mean_service_ns;
-        let rho = shape.mean_arrival_rps / service_rps;
-        if rho >= 1.0 {
-            v.push(Violation::Overload {
-                rho,
-                arrival_rps: shape.mean_arrival_rps,
-                service_rps,
-            });
-        }
-    }
-    v
+    (mean_service_ns > 0.0).then(|| shape.chips as f64 * 1e9 / mean_service_ns)
 }
 
 /// One verifier finding over the lowered model zoo.

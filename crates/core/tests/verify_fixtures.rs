@@ -8,6 +8,10 @@
 //! closing proptest sweeps the whole model zoo across the config matrix
 //! (plus random policies) and asserts the verifier stays quiet on honest
 //! lowerings.
+#![expect(
+    clippy::expect_used,
+    reason = "shared setup helpers abort on a setup error, which fails the calling test"
+)]
 
 use proptest::prelude::*;
 use reram_core::verify::{

@@ -41,12 +41,11 @@
 //! assert!(err / 300.0 < 1e-2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Dense matrix/tensor kernels index multiple arrays by the same
-// coordinate; explicit index loops read closer to the paper's
-// equations than iterator chains would.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "dense matrix/tensor kernels index multiple arrays by the same coordinate; explicit index loops read closer to the paper's equations than iterator chains would"
+)]
 
 pub mod array;
 pub mod cost;

@@ -43,9 +43,12 @@ impl TiledMatrix {
     ///
     /// Panics if `w` is empty or `config` is invalid.
     pub fn program(w: &Matrix, config: &CrossbarConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented contract — invalid configs abort programming"
+        )]
         config
             .validate()
-            // lint:allow(panic) documented contract — invalid configs abort programming
             .unwrap_or_else(|e| panic!("invalid crossbar config: {e}"));
         assert!(
             w.rows() > 0 && w.cols() > 0,

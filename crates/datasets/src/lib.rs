@@ -23,7 +23,6 @@
 //! assert_eq!(labels.len(), 4);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::Rng;

@@ -11,7 +11,6 @@
 //! processing-in-memory accelerator keeps weights resident in the crossbars
 //! — and is recorded as a substitution in DESIGN.md.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use reram_nn::{LayerWork, NetworkSpec};

@@ -2,24 +2,27 @@
 //! workspace.
 //!
 //! The paper-reproduction's credibility rests on closed-form hardware
-//! accounting: if a constant loses its unit, an event loses its
-//! instrumentation, or a simulation path reads the wall clock, the numbers
-//! in the regenerated tables silently stop meaning what they claim. This
-//! crate is a workspace-aware static-analysis pass — a small token-level
-//! Rust scanner, no external parser dependencies — that fails the build
-//! when the codebase violates its own architecture:
+//! accounting: if a constant loses its unit or an event loses its
+//! instrumentation, the numbers in the regenerated tables silently stop
+//! meaning what they claim. This crate is a workspace-aware static-analysis
+//! pass — a small token-level Rust scanner, no external parser
+//! dependencies — that fails the build when the codebase violates its own
+//! architecture:
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `layering` | crate dependencies point down the stack, no back-edges |
+//! | `layering` | crate dependencies point down the stack, no back-edges; every manifest inherits `[workspace.lints]` |
 //! | `units` | cost/plan/report quantities carry unit suffixes; no cross-dimension `+`/`-` |
-//! | `telemetry-coverage` | every `telemetry::Event` variant is emitted outside the telemetry crate |
-//! | `panic` | no `unwrap`/`expect`/`panic!`/`todo!` in library code without an annotated reason |
-//! | `determinism` | no `Instant`/`SystemTime`/`HashMap` in simulation paths; crate roots forbid `unsafe_code` |
 //! | `dead-event` | every `telemetry::Event` variant is *emitted* via `record(...)` outside the telemetry crate |
 //! | `must_use` | public `fn`s returning `Result` in library crates carry `#[must_use]` |
 //!
-//! A justified exception is waived in place with
+//! The abort policy (no `unwrap`/`expect`/`panic!`/`todo!` outside tests)
+//! and the determinism policy (no `Instant`/`SystemTime`/`HashMap`/`HashSet`)
+//! are not rules here: rustc and clippy enforce them type-aware through
+//! `[workspace.lints]` and the root `clippy.toml`, and `layering` makes sure
+//! no crate drops out of that policy.
+//!
+//! A justified exception to one of these rules is waived in place with
 //! `// lint:allow(<rule>) <reason>` on (or directly above) the offending
 //! line; the reason is mandatory and malformed annotations are themselves
 //! diagnostics. Run via `cargo run -p reram-lint` (wired into
@@ -32,8 +35,6 @@
 //! [`reram_core::verify`] (conservation laws, feasibility, metamorphic
 //! monotonicity), with violations reported in the same diagnostic format
 //! under the rule name `plan` (see [`plans`]).
-
-#![forbid(unsafe_code)]
 
 pub mod plans;
 pub mod rules;

@@ -31,8 +31,9 @@ fn main() -> ExitCode {
                     "reram-lint: first-party architectural lint\n\n\
                      usage: cargo run -p reram-lint [-- --root <dir> | --list-rules | --plans]\n\n\
                      Checks the workspace's simulator invariants (layering, unit\n\
-                     discipline, telemetry coverage, panic policy, determinism,\n\
-                     dead events, must_use) and exits non-zero on any violation.\n\
+                     discipline, dead events, must_use) and exits non-zero on any\n\
+                     violation. The abort and determinism policies live in\n\
+                     [workspace.lints] and clippy.toml instead (cargo clippy).\n\
                      Waive a justified exception with\n\
                      `// lint:allow(<rule>) <reason>` on or above the line.\n\n\
                      --plans verifies lowered IR instead of source: every model-zoo\n\

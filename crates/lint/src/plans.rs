@@ -10,7 +10,9 @@
 //! "path" is `plan/<config>/<network>` since a violation lives in a lowered
 //! artifact, not a file.
 
-use reram_core::verify::{config_matrix, verify_serve, ServeShape, Violation, ZooFinding};
+use reram_core::verify::{
+    config_matrix, service_rps, verify_serve, ServeShape, Violation, ZooFinding,
+};
 use reram_core::ExecutionPlan;
 use reram_nn::models;
 
@@ -59,13 +61,15 @@ pub fn check_plans() -> PlanCheck {
             .collect();
         let violations = match lowered {
             Ok(plans) => {
-                let shape = ServeShape {
+                let mut shape = ServeShape {
                     chips: SERVE_CHIPS,
                     max_batch: SERVE_MAX_BATCH,
                     max_linger_ns: SERVE_MAX_LINGER_NS,
-                    mean_arrival_rps: SERVE_LOAD_FRACTION * capacity_rps(&plans),
+                    mean_arrival_rps: 0.0,
                     mix: SERVE_MIX.to_vec(),
                 };
+                shape.mean_arrival_rps =
+                    SERVE_LOAD_FRACTION * service_rps(&plans, &shape).unwrap_or(0.0);
                 verify_serve(&plans, &shape)
             }
             Err(e) => vec![Violation::LoweringFailed {
@@ -88,26 +92,6 @@ pub fn check_plans() -> PlanCheck {
         plans,
         configs: matrix.len(),
         diags,
-    }
-}
-
-/// Cluster service capacity in requests per second for the checked shape:
-/// `chips / s̄` with `s̄` the mix-weighted amortized full-batch latency —
-/// the same closed form [`verify_serve`] prices stability against.
-fn capacity_rps(plans: &[ExecutionPlan]) -> f64 {
-    let total_weight: f64 = SERVE_MIX.iter().sum();
-    let mean_service_ns: f64 = plans
-        .iter()
-        .zip(SERVE_MIX)
-        .map(|(plan, w)| {
-            (w / total_weight) * plan.batch_inference_latency_ns(SERVE_MAX_BATCH)
-                / SERVE_MAX_BATCH as f64
-        })
-        .sum();
-    if mean_service_ns > 0.0 {
-        SERVE_CHIPS as f64 * 1e9 / mean_service_ns
-    } else {
-        0.0
     }
 }
 

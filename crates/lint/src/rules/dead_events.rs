@@ -1,21 +1,26 @@
 //! Rule `dead-event`: every telemetry event must actually be *emitted*.
 //!
-//! `telemetry-coverage` requires each `Event` variant to be *referenced*
-//! outside the telemetry crate, but a reference is a weaker guarantee than
-//! an emission: matching on an event in a report renderer, or naming it in
-//! a test helper, satisfies coverage while the counter still never moves.
-//! This rule requires each variant to appear inside the argument span of a
-//! `record(...)` call — the only way the workspace increments a counter —
-//! in non-test code outside the telemetry crate. Call spans may run over
-//! multiple lines (rustfmt wraps wide `record` calls), so the rule tracks
-//! parenthesis depth from the `record(` opener across lines.
+//! The telemetry crate defines the event vocabulary (`Event::ALL`); the
+//! simulation crates are responsible for emitting each event wherever the
+//! modelled hardware activity happens. A variant that is never emitted is a
+//! hole in the instrumentation: reports would silently show zero for it.
+//! A mere reference is not enough — matching on an event in a report
+//! renderer, or naming it in a test helper, leaves the counter still. This
+//! rule parses the `enum Event` variants out of the telemetry crate and
+//! requires each to appear inside the argument span of a `record(...)`
+//! call — the only way the workspace increments a counter — in non-test
+//! code outside the telemetry crate. Call spans may run over multiple lines
+//! (rustfmt wraps wide `record` calls), so the rule tracks parenthesis
+//! depth from the `record(` opener across lines.
 
-use crate::workspace::Workspace;
+use crate::scanner::{tokenize, Token};
+use crate::workspace::{CrateInfo, Workspace};
 use crate::Diagnostic;
 
-use super::telemetry::{event_variants, references_variant, TELEMETRY_CRATE};
-
 const RULE: &str = "dead-event";
+
+/// Name of the crate defining the event vocabulary.
+pub const TELEMETRY_CRATE: &str = "reram-telemetry";
 
 /// A `record(...)` call can be reformatted over at most this many lines
 /// before the rule stops following it (a safety bound, far above any real
@@ -29,6 +34,16 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
         return Vec::new();
     };
     let variants = event_variants(telemetry);
+    if variants.is_empty() {
+        return vec![Diagnostic::new(
+            &telemetry.manifest_path,
+            1,
+            RULE,
+            "could not find any `enum Event` variants in the telemetry crate \
+             (rule out of sync with the code?)"
+                .to_owned(),
+        )];
+    }
 
     // Collect every record-call argument span outside the telemetry crate.
     let mut spans: Vec<String> = Vec::new();
@@ -118,4 +133,73 @@ fn record_call_offsets(masked_line: &str) -> Vec<usize> {
         i += needle.len();
     }
     offsets
+}
+
+/// `Event::<Variant>` with an identifier boundary after the variant.
+fn references_variant(masked_line: &str, variant: &str) -> bool {
+    let needle = format!("Event::{variant}");
+    let mut from = 0;
+    while let Some(pos) = masked_line[from..].find(&needle) {
+        let end = from + pos + needle.len();
+        let boundary = masked_line[end..]
+            .chars()
+            .next()
+            .is_none_or(|c| !c.is_alphanumeric() && c != '_');
+        if boundary {
+            return true;
+        }
+        from = end;
+    }
+    false
+}
+
+/// Parses `(variant, defining file, line)` out of the telemetry crate's
+/// `enum Event { ... }` block.
+fn event_variants(telemetry: &CrateInfo) -> Vec<(String, String, usize)> {
+    let mut variants = Vec::new();
+    for file in &telemetry.files {
+        // Find `enum Event` and walk its block line by line.
+        let mut depth_into_enum: Option<usize> = None;
+        let mut depth = 0usize;
+        for (idx, line) in file.masked_lines.iter().enumerate() {
+            let tokens = tokenize(line);
+            let enum_here = tokens
+                .windows(2)
+                .any(|w| w[0].ident() == Some("enum") && w[1].ident() == Some("Event"));
+            if enum_here {
+                depth_into_enum = Some(depth);
+            }
+            if let Some(enum_depth) = depth_into_enum {
+                // Variant lines sit at depth enum_depth + 1 and start with
+                // an uppercase identifier followed by `,` or `=`.
+                if depth == enum_depth + 1 {
+                    if let Some(first) = tokens.first().and_then(Token::ident) {
+                        let starts_upper = first.chars().next().is_some_and(char::is_uppercase);
+                        let followed = tokens
+                            .get(1)
+                            .is_some_and(|t| t.is_punct(',') || t.is_punct('='));
+                        if starts_upper && followed {
+                            variants.push((first.to_owned(), file.path.clone(), idx + 1));
+                        }
+                    }
+                }
+            }
+            for c in line.chars() {
+                match c {
+                    '{' => depth += 1,
+                    '}' => {
+                        depth = depth.saturating_sub(1);
+                        if depth_into_enum == Some(depth) {
+                            depth_into_enum = None;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        if !variants.is_empty() {
+            break;
+        }
+    }
+    variants
 }

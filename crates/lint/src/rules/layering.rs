@@ -9,6 +9,10 @@
 //! through `reram-core`), but nothing may depend on it — the stack must
 //! keep building when the tool is deleted.
 //!
+//! The manifest pass also requires every first-party crate to declare
+//! `[lints] workspace = true`: that one line carries the workspace's whole
+//! rustc/clippy policy, so a new crate cannot quietly drop out of it.
+//!
 //! Both declaration sites are checked: `Cargo.toml` dependency tables and
 //! `reram_*` paths in non-test source (a `use` back-edge would not compile
 //! without the manifest edge, but checking both catches a manifest edit
@@ -173,6 +177,22 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
             ));
             continue;
         };
+
+        // The shared lint policy (abort and determinism bans, forbidden
+        // `unsafe`) lives in `[workspace.lints]`; a crate that does not
+        // inherit it silently drops out of every one of those checks.
+        if !krate.inherits_workspace_lints() {
+            diags.push(Diagnostic::new(
+                &krate.manifest_path,
+                1,
+                RULE,
+                format!(
+                    "crate `{}` does not inherit the workspace lint policy; \
+                     add `[lints]` with `workspace = true` to its manifest",
+                    krate.name
+                ),
+            ));
+        }
 
         // Manifest edges.
         for (dep, line, _dev) in krate.first_party_deps() {

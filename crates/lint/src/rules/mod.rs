@@ -1,11 +1,8 @@
 //! The rule set. Each rule module exposes `check(&Workspace) -> Vec<Diagnostic>`.
 
 pub mod dead_events;
-pub mod determinism;
 pub mod layering;
 pub mod must_use;
-pub mod panics;
-pub mod telemetry;
 pub mod units;
 
 use crate::workspace::Workspace;
@@ -18,28 +15,13 @@ pub type RuleFn = fn(&Workspace) -> Vec<Diagnostic>;
 pub const RULES: &[(&str, &str, RuleFn)] = &[
     (
         "layering",
-        "crate dependencies must point down the stack (tensor/telemetry -> crossbar -> nn -> gpu -> core -> bench -> suite)",
+        "crate dependencies must point down the stack (tensor/telemetry -> crossbar -> nn -> gpu -> core -> serve -> bench -> suite); every manifest inherits [workspace.lints]",
         layering::check,
     ),
     (
         "units",
         "f64 quantities in crossbar::cost / core::plan / core::report carry unit suffixes; no cross-dimension +/-",
         units::check,
-    ),
-    (
-        "telemetry-coverage",
-        "every telemetry::Event variant is emitted somewhere outside the telemetry crate",
-        telemetry::check,
-    ),
-    (
-        "panic",
-        "no unwrap/expect/panic!/todo!/unimplemented! in library code without lint:allow(panic)",
-        panics::check,
-    ),
-    (
-        "determinism",
-        "no Instant/SystemTime/HashMap/HashSet in simulation paths; crate roots forbid unsafe_code",
-        determinism::check,
     ),
     (
         "dead-event",

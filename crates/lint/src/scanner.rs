@@ -4,7 +4,7 @@
 //! to four questions about every line of a source file:
 //!
 //! 1. what does the line look like with comments and string/char literals
-//!    blanked out (so `panic!` inside a doc comment is not a violation),
+//!    blanked out (so `Event::X` inside a doc comment is not an emission),
 //! 2. is the line inside a `#[cfg(test)]` (or `#[test]`) item,
 //! 3. which rules has the author explicitly waived on the line via a
 //!    `// lint:allow(<rule>) <reason>` annotation, and
@@ -19,8 +19,6 @@
 pub struct SourceFile {
     /// Workspace-relative path, e.g. `crates/core/src/mapping.rs`.
     pub path: String,
-    /// Raw file contents.
-    pub raw: String,
     /// One entry per line: the line with comments/strings/chars blanked.
     pub masked_lines: Vec<String>,
     /// One entry per line: `true` when the line is inside a test item.
@@ -33,18 +31,16 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Parses `raw` into the masked/test/allow views.
-    pub fn parse(path: impl Into<String>, raw: impl Into<String>) -> Self {
-        let raw = raw.into();
-        let masked = mask_source(&raw);
+    pub fn parse(path: impl Into<String>, raw: &str) -> Self {
+        let masked = mask_source(raw);
         let masked_lines: Vec<String> = masked.lines().map(str::to_owned).collect();
         let in_test = test_lines(&masked_lines);
         // Annotations are read from a strings-masked view that keeps
         // comments, so a diagnostic message *quoting* the grammar in a
         // string literal is not mistaken for an annotation.
-        let (allows, bad_allows) = parse_allows(&mask(&raw, true));
+        let (allows, bad_allows) = parse_allows(&mask(raw, true));
         Self {
             path: path.into(),
-            raw,
             masked_lines,
             in_test,
             allows,
@@ -485,11 +481,11 @@ mod tests {
 
     #[test]
     fn allow_parsing_and_reason_required() {
-        let src = "x.unwrap(); // lint:allow(panic) invariant: always present\ny();\n// lint:allow(panic)\nz();";
+        let src = "x.unwrap(); // lint:allow(units) invariant: always present\ny();\n// lint:allow(units)\nz();";
         let f = SourceFile::parse("a.rs", src);
-        assert!(f.allowed(1, "panic"));
-        assert!(f.allowed(2, "panic")); // line below an annotation
-        assert!(!f.allowed(4, "panic")); // reason missing -> malformed
+        assert!(f.allowed(1, "units"));
+        assert!(f.allowed(2, "units")); // line below an annotation
+        assert!(!f.allowed(4, "units")); // reason missing -> malformed
         assert_eq!(f.bad_allows.len(), 1);
         assert_eq!(f.bad_allows[0].0, 3);
     }

@@ -25,9 +25,19 @@ pub struct CrateInfo {
 }
 
 impl CrateInfo {
-    /// The crate's library root (`src/lib.rs`), if it has one.
-    pub fn lib_root(&self) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.path.ends_with("src/lib.rs"))
+    /// Whether the manifest opts into the workspace lint policy with a
+    /// `[lints]` table holding `workspace = true`.
+    pub fn inherits_workspace_lints(&self) -> bool {
+        let mut in_lints = false;
+        for line in self.manifest.lines() {
+            let trimmed = line.trim();
+            if trimmed.starts_with('[') {
+                in_lints = trimmed == "[lints]";
+            } else if in_lints && trimmed.replace(' ', "") == "workspace=true" {
+                return true;
+            }
+        }
+        false
     }
 
     /// First-party dependencies declared in the manifest:
@@ -118,7 +128,7 @@ impl Workspace {
                 manifest: (*manifest).to_owned(),
                 files: files
                     .iter()
-                    .map(|(path, src)| SourceFile::parse(*path, *src))
+                    .map(|(path, src)| SourceFile::parse(*path, src))
                     .collect(),
             })
             .collect();
@@ -160,7 +170,7 @@ fn load_crate(root: &Path, dir: &Path, manifest_name: &str) -> Result<CrateInfo,
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            files.push(SourceFile::parse(rel, raw));
+            files.push(SourceFile::parse(rel, &raw));
         }
     }
     let rel_manifest = manifest_path

@@ -4,7 +4,8 @@
 use reram_lint::{check_workspace, Workspace};
 
 fn manifest(name: &str, deps: &[&str]) -> String {
-    let mut m = format!("[package]\nname = \"{name}\"\n[dependencies]\n");
+    let mut m =
+        format!("[package]\nname = \"{name}\"\n[lints]\nworkspace = true\n[dependencies]\n");
     for dep in deps {
         m.push_str(&format!("{dep}.workspace = true\n"));
     }
@@ -22,11 +23,7 @@ fn rules_hit(ws: &Workspace) -> Vec<(String, &'static str)> {
 fn layering_flags_manifest_back_edge() {
     // tensor (layer 0) depending on nn (layer 2) is a back-edge.
     let m = manifest("reram-tensor", &["reram-nn"]);
-    let ws = Workspace::from_sources(&[(
-        "reram-tensor",
-        &m,
-        &[("crates/tensor/src/lib.rs", "#![forbid(unsafe_code)]\n")],
-    )]);
+    let ws = Workspace::from_sources(&[("reram-tensor", &m, &[])]);
     let diags = check_workspace(&ws);
     assert!(
         diags.iter().any(|d| d.rule == "layering"
@@ -39,14 +36,14 @@ fn layering_flags_manifest_back_edge() {
 #[test]
 fn layering_flags_use_path_back_edge() {
     let m = manifest("reram-crossbar", &["reram-tensor"]);
-    let src = "#![forbid(unsafe_code)]\nuse reram_core::AcceleratorConfig;\n";
+    let src = "use reram_core::AcceleratorConfig;\n";
     let ws =
         Workspace::from_sources(&[("reram-crossbar", &m, &[("crates/crossbar/src/lib.rs", src)])]);
     let diags = check_workspace(&ws);
     assert!(
         diags
             .iter()
-            .any(|d| d.rule == "layering" && d.path.ends_with("lib.rs") && d.line == 2),
+            .any(|d| d.rule == "layering" && d.path.ends_with("lib.rs") && d.line == 1),
         "expected a source-path layering diagnostic, got: {diags:?}"
     );
 }
@@ -54,8 +51,7 @@ fn layering_flags_use_path_back_edge() {
 #[test]
 fn layering_accepts_downward_edges() {
     let m = manifest("reram-crossbar", &["reram-tensor", "reram-telemetry"]);
-    let src =
-        "#![forbid(unsafe_code)]\nuse reram_tensor::Matrix;\nuse reram_telemetry as telemetry;\n";
+    let src = "use reram_tensor::Matrix;\nuse reram_telemetry as telemetry;\n";
     let ws =
         Workspace::from_sources(&[("reram-crossbar", &m, &[("crates/crossbar/src/lib.rs", src)])]);
     assert!(
@@ -68,11 +64,7 @@ fn layering_accepts_downward_edges() {
 #[test]
 fn layering_protects_tool_crate() {
     let m = manifest("reram-bench", &["reram-lint"]);
-    let ws = Workspace::from_sources(&[(
-        "reram-bench",
-        &m,
-        &[("crates/bench/src/lib.rs", "#![forbid(unsafe_code)]\n")],
-    )]);
+    let ws = Workspace::from_sources(&[("reram-bench", &m, &[])]);
     assert!(check_workspace(&ws)
         .iter()
         .any(|d| d.rule == "layering" && d.message.contains("tool crate")),);
@@ -82,21 +74,14 @@ fn layering_protects_tool_crate() {
 fn layering_flags_unsanctioned_core_module_edge() {
     // `mapping` is a leaf of the intra-core graph; it reaching up into
     // `accelerator` is exactly the cycle the module table forbids.
-    let src = "#![forbid(unsafe_code)]\nuse crate::accelerator::PipeLayerAccelerator;\n";
+    let src = "use crate::accelerator::PipeLayerAccelerator;\n";
     let m = manifest("reram-core", &[]);
-    let ws = Workspace::from_sources(&[(
-        "reram-core",
-        &m,
-        &[
-            ("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            ("crates/core/src/mapping.rs", src),
-        ],
-    )]);
+    let ws = Workspace::from_sources(&[("reram-core", &m, &[("crates/core/src/mapping.rs", src)])]);
     let diags = check_workspace(&ws);
     assert!(
         diags.iter().any(|d| d.rule == "layering"
             && d.path.ends_with("mapping.rs")
-            && d.line == 2
+            && d.line == 1
             && d.message.contains("mapping -> accelerator")),
         "expected an intra-core module diagnostic, got: {diags:?}"
     );
@@ -106,16 +91,14 @@ fn layering_flags_unsanctioned_core_module_edge() {
 fn layering_accepts_sanctioned_core_module_edges() {
     // Sanctioned table edges, self-references, the crate root, test code,
     // and annotated lines must all stay quiet.
-    let plan_src = "#![forbid(unsafe_code)]\n\
-                    use crate::mapping::LayerMapping;\n\
+    let plan_src = "use crate::mapping::LayerMapping;\n\
                     use crate::verify::verify_plan;\n\
                     pub use crate::plan::layer::LayerPlan;\n";
-    let chip_src = "#![forbid(unsafe_code)]\n\
-                    use crate::plan::ExecutionPlan;\n\
+    let chip_src = "use crate::plan::ExecutionPlan;\n\
                     // lint:allow(layering) doc example exercises the report facade\n\
                     use crate::report::RunReport;\n\
                     #[cfg(test)]\nmod tests {\n    use crate::accelerator::PipeLayerAccelerator;\n}\n";
-    let root_src = "#![forbid(unsafe_code)]\npub use crate::plan::ExecutionPlan;\n";
+    let root_src = "pub use crate::plan::ExecutionPlan;\n";
     let m = manifest("reram-core", &[]);
     let ws = Workspace::from_sources(&[(
         "reram-core",
@@ -135,57 +118,45 @@ fn layering_accepts_sanctioned_core_module_edges() {
 
 #[test]
 fn units_flags_unsuffixed_float_field_and_const() {
-    let src = "#![forbid(unsafe_code)]\n\
-               const FRAME_OVERHEAD: f64 = 2.0;\n\
+    let src = "const FRAME_OVERHEAD: f64 = 2.0;\n\
                pub struct Cost {\n    pub latency: f64,\n    pub frames: u32,\n}\n";
     let m = manifest("reram-crossbar", &[]);
     let ws = Workspace::from_sources(&[(
         "reram-crossbar",
         &m,
-        &[
-            ("crates/crossbar/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            ("crates/crossbar/src/cost.rs", src),
-        ],
+        &[("crates/crossbar/src/cost.rs", src)],
     )]);
     let hits = rules_hit(&ws);
     assert!(
-        hits.contains(&("crates/crossbar/src/cost.rs:2".to_owned(), "units")),
+        hits.contains(&("crates/crossbar/src/cost.rs:1".to_owned(), "units")),
         "unsuffixed const must trip: {hits:?}"
     );
     assert!(
-        hits.contains(&("crates/crossbar/src/cost.rs:4".to_owned(), "units")),
+        hits.contains(&("crates/crossbar/src/cost.rs:3".to_owned(), "units")),
         "unsuffixed f64 field must trip: {hits:?}"
     );
     // The u32 count field is exempt.
-    assert!(!hits.contains(&("crates/crossbar/src/cost.rs:5".to_owned(), "units")));
+    assert!(!hits.contains(&("crates/crossbar/src/cost.rs:4".to_owned(), "units")));
 }
 
 #[test]
 fn units_flags_cross_dimension_addition() {
-    let src = "#![forbid(unsafe_code)]\n\
-               pub fn total(latency_ns: f64, energy_pj: f64) -> f64 {\n\
+    let src = "pub fn total(latency_ns: f64, energy_pj: f64) -> f64 {\n\
                    latency_ns + energy_pj\n\
                }\n";
     let m = manifest("reram-core", &[]);
-    let ws = Workspace::from_sources(&[(
-        "reram-core",
-        &m,
-        &[
-            ("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            ("crates/core/src/plan/mod.rs", src),
-        ],
-    )]);
+    let ws =
+        Workspace::from_sources(&[("reram-core", &m, &[("crates/core/src/plan/mod.rs", src)])]);
     let hits = rules_hit(&ws);
     assert!(
-        hits.contains(&("crates/core/src/plan/mod.rs:3".to_owned(), "units")),
+        hits.contains(&("crates/core/src/plan/mod.rs:2".to_owned(), "units")),
         "ns + pj must trip: {hits:?}"
     );
 }
 
 #[test]
 fn units_accepts_suffixed_quantities_and_same_dimension_sums() {
-    let src = "#![forbid(unsafe_code)]\n\
-               const FRAME_LATENCY_NS: f64 = 20.0;\n\
+    let src = "const FRAME_LATENCY_NS: f64 = 20.0;\n\
                pub struct Cost {\n    pub latency_ns: f64,\n    pub energy_pj: f64,\n}\n\
                pub fn f(c: &Cost) -> f64 {\n    c.latency_ns + 2.0 * FRAME_LATENCY_NS\n}\n\
                pub fn g(a_pj: f64, b_pj: f64) -> f64 {\n    a_pj + b_pj\n}\n";
@@ -193,207 +164,20 @@ fn units_accepts_suffixed_quantities_and_same_dimension_sums() {
     let ws = Workspace::from_sources(&[(
         "reram-crossbar",
         &m,
-        &[
-            ("crates/crossbar/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            ("crates/crossbar/src/cost.rs", src),
-        ],
+        &[("crates/crossbar/src/cost.rs", src)],
     )]);
     let diags = check_workspace(&ws);
     assert!(diags.is_empty(), "clean unit code must pass: {diags:?}");
 }
 
 #[test]
-fn telemetry_coverage_flags_unemitted_variant() {
-    let telemetry_manifest = manifest("reram-telemetry", &[]);
-    let event_src = "#![forbid(unsafe_code)]\n\
-                     pub enum Event {\n    CrossbarMvm = 0,\n    CellWrite = 1,\n}\n";
-    let emitter_manifest = manifest("reram-crossbar", &["reram-telemetry"]);
-    let emitter_src = "#![forbid(unsafe_code)]\n\
-                       pub fn mvm() { record(Event::CrossbarMvm, 1); }\n";
-    let ws = Workspace::from_sources(&[
-        (
-            "reram-telemetry",
-            &telemetry_manifest,
-            &[
-                ("crates/telemetry/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-                ("crates/telemetry/src/event.rs", event_src),
-            ],
-        ),
-        (
-            "reram-crossbar",
-            &emitter_manifest,
-            &[("crates/crossbar/src/lib.rs", emitter_src)],
-        ),
-    ]);
-    let diags = check_workspace(&ws);
-    let coverage: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == "telemetry-coverage")
-        .collect();
-    assert_eq!(coverage.len(), 1, "exactly CellWrite uncovered: {diags:?}");
-    assert!(coverage[0].message.contains("CellWrite"));
-    assert_eq!(coverage[0].line, 4);
-}
-
-#[test]
-fn telemetry_coverage_passes_when_all_variants_emitted() {
-    let telemetry_manifest = manifest("reram-telemetry", &[]);
-    let event_src = "#![forbid(unsafe_code)]\npub enum Event {\n    CrossbarMvm = 0,\n}\n";
-    let emitter_manifest = manifest("reram-crossbar", &["reram-telemetry"]);
-    let emitter_src = "#![forbid(unsafe_code)]\npub fn mvm() { record(Event::CrossbarMvm, 1); }\n";
-    let ws = Workspace::from_sources(&[
-        (
-            "reram-telemetry",
-            &telemetry_manifest,
-            &[
-                ("crates/telemetry/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-                ("crates/telemetry/src/event.rs", event_src),
-            ],
-        ),
-        (
-            "reram-crossbar",
-            &emitter_manifest,
-            &[("crates/crossbar/src/lib.rs", emitter_src)],
-        ),
-    ]);
-    assert!(check_workspace(&ws).is_empty());
-}
-
-#[test]
-fn panic_policy_flags_unannotated_aborts() {
-    let src = "#![forbid(unsafe_code)]\n\
-               pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
-               pub fn g() { panic!(\"boom\"); }\n\
-               pub fn h() { todo!() }\n";
-    let m = manifest("reram-nn", &[]);
-    let ws = Workspace::from_sources(&[(
-        "reram-nn",
-        &m,
-        &[
-            ("crates/nn/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            ("crates/nn/src/layers.rs", src),
-        ],
-    )]);
-    let hits = rules_hit(&ws);
-    for line in [2, 3, 4] {
-        assert!(
-            hits.contains(&(format!("crates/nn/src/layers.rs:{line}"), "panic")),
-            "line {line} must trip: {hits:?}"
-        );
-    }
-}
-
-#[test]
-fn panic_policy_honors_tests_annotations_and_binaries() {
-    let src = "#![forbid(unsafe_code)]\n\
-               // lint:allow(panic) poisoned mutex means a test already failed\n\
-               pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
-               pub fn doc() { /* panic! in a comment */ let s = \"unwrap()\"; let _ = s; }\n\
-               #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u32>.unwrap(); }\n}\n";
-    let bin_src = "fn main() { std::env::args().next().unwrap(); }\n";
-    let m = manifest("reram-nn", &[]);
-    let ws = Workspace::from_sources(&[(
-        "reram-nn",
-        &m,
-        &[
-            ("crates/nn/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            ("crates/nn/src/layers.rs", src),
-            ("crates/nn/src/bin/tool.rs", bin_src),
-        ],
-    )]);
-    let diags = check_workspace(&ws);
-    assert!(
-        diags.iter().all(|d| d.rule != "panic"),
-        "annotated/test/binary/comment panics must pass: {diags:?}"
-    );
-}
-
-#[test]
-fn allow_without_reason_is_itself_flagged() {
-    let src = "#![forbid(unsafe_code)]\npub fn f(x: Option<u32>) -> u32 { x.unwrap() } // lint:allow(panic)\n";
-    let m = manifest("reram-nn", &[]);
-    let ws = Workspace::from_sources(&[(
-        "reram-nn",
-        &m,
-        &[
-            ("crates/nn/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            ("crates/nn/src/layers.rs", src),
-        ],
-    )]);
-    let diags = check_workspace(&ws);
-    assert!(diags.iter().any(|d| d.rule == "allow-syntax"));
-    // And the reasonless allow does not waive the underlying violation.
-    assert!(diags.iter().any(|d| d.rule == "panic"));
-}
-
-#[test]
-fn determinism_flags_wall_clock_and_hash_iteration() {
-    let src = "#![forbid(unsafe_code)]\n\
-               use std::time::Instant;\n\
-               use std::collections::HashMap;\n\
-               pub fn f() { let _t = Instant::now(); }\n";
-    let m = manifest("reram-core", &[]);
-    let ws = Workspace::from_sources(&[(
-        "reram-core",
-        &m,
-        &[
-            ("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            ("crates/core/src/pipeline.rs", src),
-        ],
-    )]);
-    let hits = rules_hit(&ws);
-    for line in [2, 3, 4] {
-        assert!(
-            hits.contains(&(format!("crates/core/src/pipeline.rs:{line}"), "determinism")),
-            "line {line} must trip: {hits:?}"
-        );
-    }
-}
-
-#[test]
-fn determinism_sanctions_telemetry_span_and_annotations() {
-    let span_src = "#![forbid(unsafe_code)]\nuse std::time::Instant;\n";
-    let annotated = "#![forbid(unsafe_code)]\n\
-                     // lint:allow(determinism) cache key only, never ordered output\n\
-                     use std::collections::HashMap;\n";
-    let tm = manifest("reram-telemetry", &[]);
-    let cm = manifest("reram-core", &[]);
-    let ws = Workspace::from_sources(&[
-        (
-            "reram-telemetry",
-            &tm,
-            &[
-                ("crates/telemetry/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-                ("crates/telemetry/src/span.rs", span_src),
-            ],
-        ),
-        (
-            "reram-core",
-            &cm,
-            &[
-                ("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-                ("crates/core/src/cache.rs", annotated),
-            ],
-        ),
-    ]);
-    let diags = check_workspace(&ws);
-    assert!(
-        diags.iter().all(|d| d.rule != "determinism"),
-        "span.rs and annotated uses must pass: {diags:?}"
-    );
-}
-
-#[test]
 fn dead_event_flags_referenced_but_never_recorded_variant() {
     let telemetry_manifest = manifest("reram-telemetry", &[]);
-    let event_src = "#![forbid(unsafe_code)]\n\
-                     pub enum Event {\n    CrossbarMvm = 0,\n    CellWrite = 1,\n}\n";
+    let event_src = "pub enum Event {\n    CrossbarMvm = 0,\n    CellWrite = 1,\n}\n";
     let emitter_manifest = manifest("reram-crossbar", &["reram-telemetry"]);
-    // `CellWrite` is *referenced* (a match arm), which satisfies
-    // telemetry-coverage — but only `CrossbarMvm` is ever passed to a
-    // `record(...)` call, so its counter can never move.
-    let emitter_src = "#![forbid(unsafe_code)]\n\
-                       pub fn mvm() { record(Event::CrossbarMvm, 1); }\n\
+    // `CellWrite` is *referenced* (a match arm), but only `CrossbarMvm` is
+    // ever passed to a `record(...)` call, so its counter can never move.
+    let emitter_src = "pub fn mvm() { record(Event::CrossbarMvm, 1); }\n\
                        pub fn label(e: &Event) -> u32 {\n\
                        match e { Event::CellWrite => 1, _ => 0 }\n\
                        }\n";
@@ -401,10 +185,7 @@ fn dead_event_flags_referenced_but_never_recorded_variant() {
         (
             "reram-telemetry",
             &telemetry_manifest,
-            &[
-                ("crates/telemetry/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-                ("crates/telemetry/src/event.rs", event_src),
-            ],
+            &[("crates/telemetry/src/event.rs", event_src)],
         ),
         (
             "reram-crossbar",
@@ -413,26 +194,21 @@ fn dead_event_flags_referenced_but_never_recorded_variant() {
         ),
     ]);
     let diags = check_workspace(&ws);
-    assert!(
-        diags.iter().all(|d| d.rule != "telemetry-coverage"),
-        "the match arm satisfies coverage: {diags:?}"
-    );
     let dead: Vec<_> = diags.iter().filter(|d| d.rule == "dead-event").collect();
     assert_eq!(dead.len(), 1, "exactly CellWrite is dead: {diags:?}");
     assert!(dead[0].message.contains("CellWrite"));
     assert!(dead[0].path.ends_with("event.rs"));
-    assert_eq!(dead[0].line, 4);
+    assert_eq!(dead[0].line, 3);
 }
 
 #[test]
 fn dead_event_follows_wrapped_record_calls() {
     let telemetry_manifest = manifest("reram-telemetry", &[]);
-    let event_src = "#![forbid(unsafe_code)]\npub enum Event {\n    CrossbarMvm = 0,\n}\n";
+    let event_src = "pub enum Event {\n    CrossbarMvm = 0,\n}\n";
     let emitter_manifest = manifest("reram-crossbar", &["reram-telemetry"]);
     // rustfmt wraps wide record calls; the variant lands on a later line
     // than the `record(` opener and must still count as emitted.
-    let emitter_src = "#![forbid(unsafe_code)]\n\
-                       pub fn mvm() {\n\
+    let emitter_src = "pub fn mvm() {\n\
                        record(\n\
                        Event::CrossbarMvm,\n\
                        1,\n\
@@ -442,10 +218,7 @@ fn dead_event_follows_wrapped_record_calls() {
         (
             "reram-telemetry",
             &telemetry_manifest,
-            &[
-                ("crates/telemetry/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-                ("crates/telemetry/src/event.rs", event_src),
-            ],
+            &[("crates/telemetry/src/event.rs", event_src)],
         ),
         (
             "reram-crossbar",
@@ -462,28 +235,19 @@ fn dead_event_follows_wrapped_record_calls() {
 
 #[test]
 fn must_use_flags_unannotated_result_fn() {
-    let src = "#![forbid(unsafe_code)]\n\
-               pub fn parse(s: &str) -> Result<u32, String> {\n    Err(s.to_owned())\n}\n";
+    let src = "pub fn parse(s: &str) -> Result<u32, String> {\n    Err(s.to_owned())\n}\n";
     let m = manifest("reram-nn", &[]);
-    let ws = Workspace::from_sources(&[(
-        "reram-nn",
-        &m,
-        &[
-            ("crates/nn/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            ("crates/nn/src/layers.rs", src),
-        ],
-    )]);
+    let ws = Workspace::from_sources(&[("reram-nn", &m, &[("crates/nn/src/layers.rs", src)])]);
     let hits = rules_hit(&ws);
     assert!(
-        hits.contains(&("crates/nn/src/layers.rs:2".to_owned(), "must_use")),
+        hits.contains(&("crates/nn/src/layers.rs:1".to_owned(), "must_use")),
         "unannotated Result-returning pub fn must trip: {hits:?}"
     );
 }
 
 #[test]
 fn must_use_honors_annotations_waivers_and_binaries() {
-    let src = "#![forbid(unsafe_code)]\n\
-               #[must_use = \"the parsed value is the result\"]\n\
+    let src = "#[must_use = \"the parsed value is the result\"]\n\
                pub fn parse(s: &str) -> Result<u32, String> {\n    Err(s.to_owned())\n}\n\
                // lint:allow(must_use) callers poll this in a retry loop\n\
                pub fn poll() -> Result<(), String> {\n    Ok(())\n}\n\
@@ -496,7 +260,6 @@ fn must_use_honors_annotations_waivers_and_binaries() {
         "reram-nn",
         &m,
         &[
-            ("crates/nn/src/lib.rs", "#![forbid(unsafe_code)]\n"),
             ("crates/nn/src/layers.rs", src),
             ("crates/nn/src/bin/tool.rs", bin_src),
         ],
@@ -509,14 +272,55 @@ fn must_use_honors_annotations_waivers_and_binaries() {
 }
 
 #[test]
-fn determinism_requires_forbid_unsafe_in_crate_root() {
-    let m = manifest("reram-gpu", &[]);
+fn dead_event_flags_telemetry_crate_without_event_enum() {
+    // A parser that finds no variants must not pass silently: the rule is
+    // out of sync with the code, not the code clean.
+    let telemetry_manifest = manifest("reram-telemetry", &[]);
+    let ws = Workspace::from_sources(&[(
+        "reram-telemetry",
+        &telemetry_manifest,
+        &[("crates/telemetry/src/lib.rs", "pub struct Counter;\n")],
+    )]);
+    let diags = check_workspace(&ws);
+    assert!(
+        diags.iter().any(|d| d.rule == "dead-event"
+            && d.path == "crates/reram-telemetry/Cargo.toml"
+            && d.message.contains("out of sync")),
+        "expected the out-of-sync diagnostic, got: {diags:?}"
+    );
+}
+
+#[test]
+fn allow_without_reason_is_itself_flagged() {
+    let src = "// lint:allow(must_use)\npub fn parse(s: &str) -> Result<u32, String> {\n    Err(s.to_owned())\n}\n";
+    let m = manifest("reram-nn", &[]);
+    let ws = Workspace::from_sources(&[("reram-nn", &m, &[("crates/nn/src/layers.rs", src)])]);
+    let diags = check_workspace(&ws);
+    assert!(diags
+        .iter()
+        .any(|d| d.rule == "allow-syntax" && d.line == 1));
+    // And the reasonless allow does not waive the underlying violation.
+    assert!(diags.iter().any(|d| d.rule == "must_use" && d.line == 2));
+}
+
+#[test]
+fn layering_requires_workspace_lints() {
+    // Without `[lints] workspace = true` a crate silently drops out of the
+    // abort, determinism and `unsafe_code` policy.
+    let m = "[package]\nname = \"reram-gpu\"\n[dependencies]\n";
     let ws = Workspace::from_sources(&[(
         "reram-gpu",
-        &m,
+        m,
         &[("crates/gpu/src/lib.rs", "pub fn f() {}\n")],
     )]);
     assert!(check_workspace(&ws)
         .iter()
-        .any(|d| d.rule == "determinism" && d.message.contains("forbid(unsafe_code)")));
+        .any(|d| d.rule == "layering" && d.message.contains("workspace = true")));
+    let ok = manifest("reram-gpu", &[]);
+    let ws = Workspace::from_sources(&[(
+        "reram-gpu",
+        &ok,
+        &[("crates/gpu/src/lib.rs", "pub fn f() {}\n")],
+    )]);
+    assert!(check_workspace(&ws).is_empty());
 }

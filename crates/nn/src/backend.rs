@@ -30,7 +30,10 @@ use reram_tensor::{ops, Matrix};
 /// engine lives per weighted layer, so the footprint is irrelevant and a
 /// box would only add indirection.
 #[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "one engine per weighted layer; boxing the crossbar variant would only add indirection"
+)]
 pub enum LinearEngine {
     /// Exact floating-point products.
     Float,
@@ -170,7 +173,10 @@ impl LinearEngine {
                         *dirty = false;
                     }
                 }
-                // lint:allow(panic) the branch above just populated the grid
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the branch above just populated the grid"
+                )]
                 let t = tiled.as_mut().expect("grid just programmed");
                 let mut y = t.matmul_rows(x);
                 if let Some(b) = bias {
@@ -197,6 +203,10 @@ impl LinearEngine {
     /// # Panics
     ///
     /// Panics if the dimensions are inconsistent.
+    #[expect(
+        clippy::expect_used,
+        reason = "the branch above just populated the grid"
+    )]
     pub fn matmul_backward(&mut self, g: &Matrix, w: &Matrix) -> Matrix {
         match self {
             LinearEngine::Crossbar {
@@ -219,7 +229,6 @@ impl LinearEngine {
                 }
                 tiled_t
                     .as_mut()
-                    // lint:allow(panic) the branch above just populated the grid
                     .expect("transposed grid just programmed")
                     .matmul_rows(g)
             }

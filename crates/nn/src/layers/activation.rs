@@ -79,10 +79,13 @@ impl Layer for ActivationLayer {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer trait contract — backward follows a training forward"
+        )]
         let input = self
             .cached_input
             .as_ref()
-            // lint:allow(panic) Layer trait contract — backward follows a training forward
             .expect("activation backward before forward(train=true)");
         input.zip_map(grad_out, |x, g| self.activation.derivative(x) * g)
     }

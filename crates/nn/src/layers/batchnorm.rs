@@ -188,7 +188,10 @@ impl Layer for BatchNorm {
                     let istd = self.inv_std_from_var(&var);
                     self.reference = Some((mean, istd));
                 }
-                // lint:allow(panic) the branch above just populated the reference stats
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the branch above just populated the reference stats"
+                )]
                 let (mean, istd) = self.reference.clone().expect("reference just set");
                 (mean, istd, false)
             }
@@ -212,10 +215,13 @@ impl Layer for BatchNorm {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer trait contract — backward follows a training forward"
+        )]
         let cache = self
             .cache
             .as_ref()
-            // lint:allow(panic) Layer trait contract — backward follows a training forward
             .expect("batch_norm backward before forward(train=true)");
         let s = grad_out.shape();
         assert_eq!(s, cache.xhat.shape(), "batch_norm backward shape mismatch");

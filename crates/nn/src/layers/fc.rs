@@ -110,10 +110,13 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer trait contract — backward follows a training forward"
+        )]
         let x = self
             .cached_input
             .as_ref()
-            // lint:allow(panic) Layer trait contract — backward follows a training forward
             .expect("fc backward before forward(train=true)");
         let g = grad_out.to_matrix();
         assert_eq!(g.cols(), self.out_features(), "fc backward: gradient width");

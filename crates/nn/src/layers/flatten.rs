@@ -37,9 +37,12 @@ impl Layer for Flatten {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer trait contract — backward follows a training forward"
+        )]
         let shape = self
             .cached_shape
-            // lint:allow(panic) Layer trait contract — backward follows a training forward
             .expect("flatten backward before forward(train=true)");
         grad_out.reshape(shape)
     }

@@ -78,10 +78,13 @@ impl Layer for FracConv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer trait contract — backward follows a training forward"
+        )]
         let input = self
             .cached_input
             .as_ref()
-            // lint:allow(panic) Layer trait contract — backward follows a training forward
             .expect("frac_conv backward before forward(train=true)");
         let gw = ops::conv_transpose2d_backward_weight(
             grad_out,

@@ -85,11 +85,14 @@ impl Layer for Pool2d {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "Layer trait contract — backward follows a training forward"
+    )]
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         match self
             .cached
             .as_ref()
-            // lint:allow(panic) Layer trait contract — backward follows a training forward
             .expect("pool backward before forward(train=true)")
         {
             PoolCache::Max(idx) => ops::max_pool2d_backward(grad_out, idx),

@@ -40,12 +40,11 @@
 //! net.apply_update(0.01);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Dense matrix/tensor kernels index multiple arrays by the same
-// coordinate; explicit index loops read closer to the paper's
-// equations than iterator chains would.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "dense matrix/tensor kernels index multiple arrays by the same coordinate; explicit index loops read closer to the paper's equations than iterator chains would"
+)]
 
 pub mod activations;
 pub mod backend;

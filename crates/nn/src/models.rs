@@ -163,7 +163,10 @@ impl crate::Layer for Reshape {
     }
 
     fn backward(&mut self, grad_out: &reram_tensor::Tensor) -> reram_tensor::Tensor {
-        // lint:allow(panic) Layer trait contract — backward follows a training forward
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer trait contract — backward follows a training forward"
+        )]
         let shape = self.cached.expect("reshape backward before forward");
         grad_out.reshape(shape)
     }

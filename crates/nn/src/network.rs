@@ -161,6 +161,10 @@ impl Network {
     }
 
     /// Classifies a batch, returning the argmax class per entry.
+    #[expect(
+        clippy::expect_used,
+        reason = "logits are NaN-free by construction and networks always have a positive class count"
+    )]
     pub fn predict(&mut self, input: &Tensor) -> Vec<usize> {
         let logits = self.forward(input, false);
         let s = logits.shape();
@@ -171,10 +175,8 @@ impl Network {
                         logits
                             .at(n, a, 0, 0)
                             .partial_cmp(&logits.at(n, b, 0, 0))
-                            // lint:allow(panic) loss/logits are NaN-free by construction
                             .expect("finite logits")
                     })
-                    // lint:allow(panic) networks always have a positive class count
                     .expect("non-empty logits")
             })
             .collect()

@@ -176,12 +176,18 @@ impl LayerSpec {
     pub fn forward_macs(&self) -> u64 {
         match *self {
             LayerSpec::Conv { in_c, out_c, k, .. } => {
-                // lint:allow(panic) spatial variants always have output dimensions
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spatial variants always have output dimensions"
+                )]
                 let (oh, ow) = self.conv_output_hw().expect("conv has output hw");
                 (in_c * k * k * out_c * oh * ow) as u64
             }
             LayerSpec::FracConv { in_c, out_c, k, .. } => {
-                // lint:allow(panic) spatial variants always have output dimensions
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spatial variants always have output dimensions"
+                )]
                 let (oh, ow) = self.conv_output_hw().expect("frac conv has output hw");
                 (in_c * k * k * out_c * oh * ow) as u64
             }
@@ -190,7 +196,10 @@ impl LayerSpec {
                 out_features,
             } => (in_features * out_features) as u64,
             LayerSpec::Pool { c, k, .. } => {
-                // lint:allow(panic) spatial variants always have output dimensions
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spatial variants always have output dimensions"
+                )]
                 let (oh, ow) = self.conv_output_hw().expect("pool has output hw");
                 (c * k * k * oh * ow) as u64
             }
@@ -202,13 +211,19 @@ impl LayerSpec {
     pub fn output_elems(&self) -> usize {
         match *self {
             LayerSpec::Conv { out_c, .. } | LayerSpec::FracConv { out_c, .. } => {
-                // lint:allow(panic) spatial variants always have output dimensions
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spatial variants always have output dimensions"
+                )]
                 let (oh, ow) = self.conv_output_hw().expect("output hw");
                 out_c * oh * ow
             }
             LayerSpec::Fc { out_features, .. } => out_features,
             LayerSpec::Pool { c, .. } => {
-                // lint:allow(panic) spatial variants always have output dimensions
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spatial variants always have output dimensions"
+                )]
                 let (oh, ow) = self.conv_output_hw().expect("output hw");
                 c * oh * ow
             }

@@ -67,8 +67,11 @@ impl TrainHistory {
     /// # Panics
     ///
     /// Panics if the history is empty.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented accessor contract — history must be non-empty"
+    )]
     pub fn final_loss(&self) -> f32 {
-        // lint:allow(panic) documented accessor contract — history must be non-empty
         *self.losses.last().expect("non-empty history")
     }
 

@@ -19,8 +19,8 @@
 //! * [`batcher`] — a dynamic batcher ([`BatcherConfig`]): close a batch at
 //!   `max_batch` requests or when the oldest waiter has lingered
 //!   `max_linger_ns`, whichever comes first.
-//! * [`scheduler`] — the pluggable [`Scheduler`] trait with round-robin,
-//!   least-loaded, and plan-cost-aware policies ([`Policy`]).
+//! * [`scheduler`] — the [`Scheduler`] for each placement [`Policy`]:
+//!   round-robin, least-loaded, and plan-cost-aware.
 //! * [`sim`] — the deterministic event loop ([`ServeSim`]): a binary-heap
 //!   event queue over simulated nanoseconds (no wall clock anywhere), and
 //!   the [`simulate`] convenience entry point.
@@ -45,7 +45,6 @@
 //! assert_eq!(report.requests_completed, report.requests_admitted);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batcher;
@@ -58,7 +57,7 @@ pub mod workload;
 pub use batcher::BatcherConfig;
 pub use cluster::{Chip, Cluster};
 pub use report::{ChipReport, ServeReport};
-pub use scheduler::{LeastLoaded, PlanCostAware, Policy, RoundRobin, Scheduler};
+pub use scheduler::{Policy, Scheduler};
 pub use sim::{simulate, ServeConfig, ServeSim};
 pub use workload::{generate_requests, ModelMix, Request, TrafficModel};
 

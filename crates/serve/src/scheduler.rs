@@ -1,14 +1,15 @@
-//! Pluggable batch-placement policies.
+//! Batch-placement policies.
 //!
 //! A [`Scheduler`] picks the chip a freshly closed batch is dispatched to.
 //! Three built-in policies span the classic trade-off:
 //!
-//! * [`RoundRobin`] — cyclic assignment, blind to load and cost.
-//! * [`LeastLoaded`] — pick the chip with the fewest outstanding requests.
-//!   Cheap and load-aware, but blind to *how expensive* those requests are:
-//!   one queued AlexNet batch counts the same as one queued LeNet batch.
-//! * [`PlanCostAware`] — pick the chip with the earliest predicted batch
-//!   completion, priced through each chip's lowered
+//! * [`Policy::RoundRobin`] — cyclic assignment, blind to load and cost.
+//! * [`Policy::LeastLoaded`] — pick the chip with the fewest outstanding
+//!   requests. Cheap and load-aware, but blind to *how expensive* those
+//!   requests are: one queued AlexNet batch counts the same as one queued
+//!   LeNet batch.
+//! * [`Policy::PlanCostAware`] — pick the chip with the earliest predicted
+//!   batch completion, priced through each chip's lowered
 //!   [`reram_core::ExecutionPlan`] ([`crate::Chip::predicted_completion_ns`]).
 //!   This sees both the backlog *and* the per-model service cost, so a
 //!   heterogeneous model mix (or a heterogeneous cluster) no longer skews
@@ -21,79 +22,15 @@ use serde::{Deserialize, Serialize};
 
 use crate::cluster::Cluster;
 
-/// Picks a chip for each dispatched batch.
-pub trait Scheduler {
-    /// Stable policy name used in reports and tables.
-    fn name(&self) -> &'static str;
-
-    /// Chooses the chip (by id) to serve a batch of `batch` requests of
-    /// catalog model `model`, given the cluster state at `now_ns`.
-    fn pick(&mut self, cluster: &Cluster, now_ns: u64, model: usize, batch: usize) -> usize;
-}
-
-/// Cyclic assignment ignoring all state.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl Scheduler for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn pick(&mut self, cluster: &Cluster, _now_ns: u64, _model: usize, _batch: usize) -> usize {
-        let id = self.next % cluster.len();
-        self.next = (self.next + 1) % cluster.len();
-        id
-    }
-}
-
-/// Fewest outstanding requests wins (ties to the lowest id).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeastLoaded;
-
-impl Scheduler for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
-    fn pick(&mut self, cluster: &Cluster, _now_ns: u64, _model: usize, _batch: usize) -> usize {
-        cluster
-            .chips
-            .iter()
-            .min_by_key(|c| (c.queued_requests, c.id))
-            .map_or(0, |c| c.id)
-    }
-}
-
-/// Earliest plan-priced batch completion wins (ties to the lowest id).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PlanCostAware;
-
-impl Scheduler for PlanCostAware {
-    fn name(&self) -> &'static str {
-        "plan-cost-aware"
-    }
-
-    fn pick(&mut self, cluster: &Cluster, now_ns: u64, model: usize, batch: usize) -> usize {
-        cluster
-            .chips
-            .iter()
-            .min_by_key(|c| (c.predicted_completion_ns(now_ns, model, batch), c.id))
-            .map_or(0, |c| c.id)
-    }
-}
-
-/// Named policy selector — the serializable configuration-side handle for
-/// the built-in [`Scheduler`] implementations.
+/// Named placement policy — the serializable configuration-side handle;
+/// [`Policy::scheduler`] instantiates it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Policy {
-    /// [`RoundRobin`].
+    /// Cyclic assignment ignoring all state.
     RoundRobin,
-    /// [`LeastLoaded`].
+    /// Fewest outstanding requests wins (ties to the lowest id).
     LeastLoaded,
-    /// [`PlanCostAware`].
+    /// Earliest plan-priced batch completion wins (ties to the lowest id).
     PlanCostAware,
 }
 
@@ -105,21 +42,57 @@ impl Policy {
         Policy::PlanCostAware,
     ];
 
-    /// Instantiates the scheduler this policy names.
-    pub fn scheduler(self) -> Box<dyn Scheduler> {
-        match self {
-            Policy::RoundRobin => Box::new(RoundRobin::default()),
-            Policy::LeastLoaded => Box::new(LeastLoaded),
-            Policy::PlanCostAware => Box::new(PlanCostAware),
+    /// Instantiates a fresh scheduler running this policy.
+    pub fn scheduler(self) -> Scheduler {
+        Scheduler {
+            policy: self,
+            next: 0,
         }
     }
 
-    /// Stable policy name (matches [`Scheduler::name`]).
+    /// Stable policy name used in reports and tables.
     pub fn name(self) -> &'static str {
         match self {
             Policy::RoundRobin => "round-robin",
             Policy::LeastLoaded => "least-loaded",
             Policy::PlanCostAware => "plan-cost-aware",
+        }
+    }
+}
+
+/// Picks a chip for each dispatched batch under one [`Policy`].
+#[derive(Debug, Clone, Copy)]
+pub struct Scheduler {
+    policy: Policy,
+    /// Round-robin cursor (unused by the stateless policies).
+    next: usize,
+}
+
+impl Scheduler {
+    /// Stable policy name used in reports and tables.
+    pub fn name(&self) -> &'static str {
+        self.policy.name()
+    }
+
+    /// Chooses the chip (by id) to serve a batch of `batch` requests of
+    /// catalog model `model`, given the cluster state at `now_ns`.
+    pub fn pick(&mut self, cluster: &Cluster, now_ns: u64, model: usize, batch: usize) -> usize {
+        match self.policy {
+            Policy::RoundRobin => {
+                let id = self.next % cluster.len();
+                self.next = (self.next + 1) % cluster.len();
+                id
+            }
+            Policy::LeastLoaded => cluster
+                .chips
+                .iter()
+                .min_by_key(|c| (c.queued_requests, c.id))
+                .map_or(0, |c| c.id),
+            Policy::PlanCostAware => cluster
+                .chips
+                .iter()
+                .min_by_key(|c| (c.predicted_completion_ns(now_ns, model, batch), c.id))
+                .map_or(0, |c| c.id),
         }
     }
 }
@@ -142,7 +115,7 @@ mod tests {
     #[test]
     fn round_robin_cycles() {
         let c = cluster();
-        let mut s = RoundRobin::default();
+        let mut s = Policy::RoundRobin.scheduler();
         let picks: Vec<usize> = (0..5).map(|_| s.pick(&c, 0, 0, 1)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1]);
     }
@@ -153,10 +126,10 @@ mod tests {
         c.chips[0].queued_requests = 4;
         c.chips[1].queued_requests = 1;
         c.chips[2].queued_requests = 4;
-        assert_eq!(LeastLoaded.pick(&c, 0, 0, 1), 1);
+        assert_eq!(Policy::LeastLoaded.scheduler().pick(&c, 0, 0, 1), 1);
         c.chips[1].queued_requests = 4;
         // All equal: lowest id.
-        assert_eq!(LeastLoaded.pick(&c, 0, 0, 1), 0);
+        assert_eq!(Policy::LeastLoaded.scheduler().pick(&c, 0, 0, 1), 0);
     }
 
     #[test]
@@ -171,14 +144,7 @@ mod tests {
         c.chips[2].queued_requests = 3;
         c.chips[2].busy_until_ns = 2_000;
         // Least-loaded walks into the backlog; cost-aware does not.
-        assert_eq!(LeastLoaded.pick(&c, 500, 0, 2), 0);
-        assert_eq!(PlanCostAware.pick(&c, 500, 0, 2), 1);
-    }
-
-    #[test]
-    fn policy_names_round_trip() {
-        for p in Policy::ALL {
-            assert_eq!(p.scheduler().name(), p.name());
-        }
+        assert_eq!(Policy::LeastLoaded.scheduler().pick(&c, 500, 0, 2), 0);
+        assert_eq!(Policy::PlanCostAware.scheduler().pick(&c, 500, 0, 2), 1);
     }
 }

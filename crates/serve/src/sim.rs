@@ -155,7 +155,7 @@ impl Default for ServeConfig {
 pub struct ServeSim {
     cluster: Cluster,
     batcher: Batcher,
-    scheduler: Box<dyn Scheduler>,
+    scheduler: Scheduler,
     seed: u64,
     queue: BinaryHeap<HeapEvent>,
     next_seq: u64,
@@ -175,7 +175,7 @@ impl ServeSim {
     pub fn new(
         cluster: Cluster,
         batcher: BatcherConfig,
-        scheduler: Box<dyn Scheduler>,
+        scheduler: Scheduler,
         seed: u64,
     ) -> Result<Self, ServeError> {
         if batcher.max_batch == 0 {

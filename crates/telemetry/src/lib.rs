@@ -32,8 +32,6 @@
 //! assert_eq!(counters.count(Event::AdcConversion), 128);
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod counters;
 mod event;
 mod recorder;

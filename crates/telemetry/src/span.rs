@@ -1,7 +1,5 @@
 //! Scoped stage timers.
 
-use std::time::Instant;
-
 use crate::recorder::{enabled, with_recorder};
 
 /// An RAII stage timer.
@@ -13,17 +11,25 @@ use crate::recorder::{enabled, with_recorder};
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
-    start: Option<Instant>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one sanctioned wall-clock site: host time per stage is what a span reports, and it never feeds simulated results"
+    )]
+    start: Option<std::time::Instant>,
     sim_cycles: u64,
 }
 
 impl Span {
     /// Starts timing a stage. `name` groups repeated entries of the same
     /// stage in reports ("forward", "backward", "weight_update", ...).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one sanctioned wall-clock site: host time per stage is what a span reports, and it never feeds simulated results"
+    )]
     pub fn enter(name: &'static str) -> Self {
         Self {
             name,
-            start: enabled().then(Instant::now),
+            start: enabled().then(std::time::Instant::now),
             sim_cycles: 0,
         }
     }

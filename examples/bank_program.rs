@@ -11,6 +11,10 @@
 //! ```text
 //! cargo run --example bank_program --release
 //! ```
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message on a setup error; that is its error path"
+)]
 
 use reram_core::compiler::{CompiledNetwork, NetStage, TrainableMlp};
 use reram_core::isa::{Instruction, SubarrayMode};

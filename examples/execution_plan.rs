@@ -9,6 +9,10 @@
 //! ```text
 //! cargo run --example execution_plan --release
 //! ```
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message on a setup error; that is its error path"
+)]
 
 use reram_core::{AcceleratorConfig, ExecutionPlan, PipeLayerAccelerator};
 use reram_gpu::GpuModel;

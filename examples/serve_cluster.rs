@@ -11,6 +11,10 @@
 //! ```text
 //! cargo run --example serve_cluster --release
 //! ```
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message on a setup error; that is its error path"
+)]
 
 use reram_core::AcceleratorConfig;
 use reram_nn::models;

@@ -2,9 +2,10 @@
 # Checks for the first-party crates: formatting, lints, their own tests,
 # and a compile-only build of the benchmark package.
 #
-# Offline-tolerant: runs with --offline against the in-repo vendor/ crates,
-# and each tool is skipped with a notice when its rustup component is not
-# installed (e.g. a minimal CI image), rather than failing the script.
+# Offline-tolerant: runs with --offline against the in-repo vendor/ crates.
+# rustfmt and rustdoc are skipped with a notice when their rustup component
+# is not installed (e.g. a minimal CI image); clippy is required, because it
+# enforces the abort and determinism policy.
 #
 # Vendored dependency stand-ins under vendor/ are workspace members but are
 # intentionally NOT checked here: they mirror upstream-crate idioms, not this
@@ -38,15 +39,18 @@ else
     echo "== rustfmt not installed; skipping format check =="
 fi
 
+# Mandatory: clippy carries the abort and determinism policy
+# ([workspace.lints] + clippy.toml), so a missing clippy is a failure.
+echo "== cargo clippy -D warnings =="
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "== cargo clippy -D warnings =="
     pkg_flags=()
     for pkg in "${FIRST_PARTY[@]}"; do
         pkg_flags+=(-p "$pkg")
     done
     cargo clippy --offline --all-targets "${pkg_flags[@]}" -- -D warnings || status=1
 else
-    echo "== clippy not installed; skipping lint check =="
+    echo "clippy is not installed; it enforces the abort and determinism policy"
+    status=1
 fi
 
 echo "== reram-lint (architectural invariants) =="

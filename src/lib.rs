@@ -4,8 +4,6 @@
 //! single dependency. See `README.md` for the project overview and
 //! `DESIGN.md` for the system inventory.
 
-#![forbid(unsafe_code)]
-
 pub use reram_core as core;
 pub use reram_crossbar as crossbar;
 pub use reram_datasets as datasets;

@@ -1,6 +1,10 @@
 //! Consistency of the `ExecutionPlan` lowering pass against its two ground
 //! truths: the analytic MAC counts of `NetworkSpec`, and the functional
 //! `reram-nn` forward pass for the generalized bank compiler.
+#![expect(
+    clippy::expect_used,
+    reason = "shared setup helpers abort on a setup error, which fails the calling test"
+)]
 
 use proptest::prelude::*;
 use reram_suite::core::{AcceleratorConfig, CompiledNetwork, ExecutionPlan, NetStage};
