@@ -246,13 +246,19 @@ impl ExecutionPlan {
         n as f64 * (self.forward_energy_pj() + self.inference_buffer_energy_pj()) * 1e-12
     }
 
-    /// Per-layer forward stage latencies, ns.
-    fn stage_latencies_ns(&self) -> Vec<f64> {
-        self.layers.iter().map(|l| l.forward_latency_ns).collect()
+    /// Pipeline fill of one inference input: the sum of the forward stage
+    /// latencies (`Σ fᵢ`), ns.
+    pub fn inference_fill_ns(&self) -> f64 {
+        self.layers.iter().map(|l| l.forward_latency_ns).sum()
     }
 
-    fn max_stage_ns(&self) -> f64 {
-        self.stage_latencies_ns().iter().fold(0.0, |a, &b| a.max(b))
+    /// Inference initiation interval: the slowest forward stage
+    /// (`max fᵢ`), ns.
+    pub fn inference_interval_ns(&self) -> f64 {
+        self.layers
+            .iter()
+            .map(|l| l.forward_latency_ns)
+            .fold(0.0, f64::max)
     }
 
     /// Wall-clock time of pipelined inference of `n` inputs with
@@ -264,15 +270,13 @@ impl ExecutionPlan {
     /// Panics if `n` is zero.
     pub fn pipelined_inference_time_s(&self, n: u64) -> f64 {
         assert!(n > 0, "need at least one input");
-        let sum: f64 = self.stage_latencies_ns().iter().sum();
-        (sum + (n - 1) as f64 * self.max_stage_ns()) * 1e-9
+        (self.inference_fill_ns() + (n - 1) as f64 * self.inference_interval_ns()) * 1e-9
     }
 
     /// Wall-clock time of non-pipelined inference: each input walks every
     /// stage alone, seconds.
     pub fn sequential_inference_time_s(&self, n: u64) -> f64 {
-        let sum: f64 = self.stage_latencies_ns().iter().sum();
-        n as f64 * sum * 1e-9
+        n as f64 * self.inference_fill_ns() * 1e-9
     }
 
     /// Service latency of one dynamic batch of `batch` inference inputs,
@@ -310,10 +314,8 @@ impl ExecutionPlan {
     /// loss/error-computation stage is peripheral arithmetic, charged 0 ns
     /// in the wall-clock domain.
     fn training_stage_latencies_ns(&self) -> Vec<f64> {
-        let fwd = self.stage_latencies_ns();
-        let mut v = fwd.clone();
-        v.extend(fwd.iter().rev().map(|f| 2.0 * f));
-        v
+        let fwd = self.layers.iter().map(|l| l.forward_latency_ns);
+        fwd.clone().chain(fwd.rev().map(|f| 2.0 * f)).collect()
     }
 
     /// Wall-clock time of pipelined training of `n` inputs in batches of

@@ -18,6 +18,10 @@
 //! one deadline event when its first request arrives, and a deadline whose
 //! generation no longer matches (the batch already closed on size) is
 //! ignored by the event loop.
+//!
+//! Batch buffers are recycled: the event loop hands each completed batch's
+//! vector back through [`Batcher::recycle`], and the next batch to open
+//! reuses it, so a steady-state run allocates no batch storage.
 
 use serde::{Deserialize, Serialize};
 
@@ -71,6 +75,8 @@ struct ModelQueue {
 pub struct Batcher {
     config: BatcherConfig,
     queues: Vec<ModelQueue>,
+    /// Emptied batch buffers waiting to back the next batch that closes.
+    spare: Vec<Vec<Request>>,
 }
 
 impl Batcher {
@@ -85,7 +91,24 @@ impl Batcher {
         Self {
             config,
             queues: (0..models).map(|_| ModelQueue::default()).collect(),
+            spare: Vec::new(),
         }
+    }
+
+    /// Returns a dispatched batch's buffer once its requests completed; a
+    /// later batch reuses its allocation.
+    pub fn recycle(&mut self, mut buffer: Vec<Request>) {
+        buffer.clear();
+        self.spare.push(buffer);
+    }
+
+    /// Closes `model`'s open batch: hands out its requests and backs the
+    /// queue with a recycled buffer.
+    fn close(&mut self, model: usize) -> Vec<Request> {
+        let queue = &mut self.queues[model];
+        queue.generation += 1;
+        let fresh = self.spare.pop().unwrap_or_default();
+        std::mem::replace(&mut queue.pending, fresh)
     }
 
     /// Admits one request at its arrival time.
@@ -94,9 +117,7 @@ impl Batcher {
         let queue = &mut self.queues[model];
         queue.pending.push(request);
         if queue.pending.len() >= self.config.max_batch {
-            let batch = std::mem::take(&mut queue.pending);
-            queue.generation += 1;
-            return BatchAction::Dispatch(batch);
+            return BatchAction::Dispatch(self.close(model));
         }
         if queue.pending.len() == 1 {
             return BatchAction::Deadline {
@@ -114,12 +135,11 @@ impl Batcher {
     /// `None` when the deadline is stale (its batch already closed on the
     /// size trigger).
     pub fn flush_deadline(&mut self, model: usize, generation: u64) -> Option<Vec<Request>> {
-        let queue = &mut self.queues[model];
+        let queue = &self.queues[model];
         if queue.generation != generation || queue.pending.is_empty() {
             return None;
         }
-        queue.generation += 1;
-        Some(std::mem::take(&mut queue.pending))
+        Some(self.close(model))
     }
 
     /// Requests currently waiting in an open batch, summed over models.
@@ -204,6 +224,34 @@ mod tests {
             }
             other => panic!("expected deadline, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn recycled_buffers_back_the_next_batch() {
+        let mut b = Batcher::new(
+            1,
+            BatcherConfig {
+                max_batch: 2,
+                max_linger_ns: 100,
+            },
+        );
+        b.push(req(0, 0, 1), 1);
+        let BatchAction::Dispatch(first) = b.push(req(1, 0, 2), 2) else {
+            panic!("expected dispatch");
+        };
+        let ptr = first.as_ptr();
+        b.recycle(first);
+        // The queue behind the first batch was backed by a fresh buffer;
+        // the recycled one backs the batch after it.
+        b.push(req(2, 0, 3), 3);
+        let BatchAction::Dispatch(second) = b.push(req(3, 0, 4), 4) else {
+            panic!("expected dispatch");
+        };
+        b.recycle(second);
+        b.push(req(4, 0, 5), 5);
+        let third = b.flush_deadline(0, 2).expect("open batch flushes");
+        assert_eq!(third.as_ptr(), ptr);
+        assert_eq!(third.iter().map(|r| r.id).collect::<Vec<_>>(), vec![4]);
     }
 
     #[test]

@@ -1,26 +1,68 @@
-//! A pod of accelerator chips, each wrapping lowered execution plans.
+//! A pod of accelerator chips, each priced by its lowered execution plans.
 //!
-//! Every [`Chip`] holds one [`ExecutionPlan`] per catalog model, lowered
-//! for that chip's [`AcceleratorConfig`], plus the runtime state the
-//! schedulers read: when its FIFO dispatch queue drains (`busy_until_ns`),
-//! how many requests are dispatched but not yet completed, and the running
-//! utilization/energy tallies the final report aggregates. Chips serve one
-//! batch at a time in dispatch order — the inter-layer pipeline inside a
-//! chip is already priced into the batch latency closed form, so the
-//! serving layer never re-simulates individual layers.
+//! Every [`Chip`] keeps one small batch-price record per catalog model,
+//! read once from the [`ExecutionPlan`] lowered for that chip's
+//! [`AcceleratorConfig`], plus the runtime state the schedulers read: when
+//! its FIFO dispatch queue drains (`busy_until_ns`), how many requests are
+//! dispatched but not yet completed, and the running utilization/energy
+//! tallies the final report aggregates. Chips serve one batch at a time in
+//! dispatch order — the inter-layer pipeline inside a chip is already
+//! priced into the batch latency closed form, so the serving layer never
+//! re-simulates individual layers.
 
 use reram_core::{AcceleratorConfig, ExecutionPlan};
 use reram_nn::NetworkSpec;
 
 use crate::ServeError;
 
+/// The plan aggregates that price a batch of one model on one chip.
+///
+/// Pricing a batch from these four numbers evaluates the same float
+/// expressions as [`ExecutionPlan::batch_inference_latency_ns`],
+/// [`ExecutionPlan::batch_forward_energy_pj`] and
+/// [`ExecutionPlan::inference_buffer_energy_pj`], so the results are
+/// bit-identical to asking the plan.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BatchPrice {
+    /// Pipeline fill of one input (`Σ fᵢ`), nanoseconds.
+    fill_ns: f64,
+    /// Initiation interval per additional input (`max fᵢ`), nanoseconds.
+    interval_ns: f64,
+    /// Forward crossbar energy of one input, picojoules.
+    forward_pj: f64,
+    /// Inference buffer energy of one input, picojoules.
+    buffer_pj: f64,
+}
+
+impl BatchPrice {
+    fn of(plan: &ExecutionPlan) -> Self {
+        Self {
+            fill_ns: plan.inference_fill_ns(),
+            interval_ns: plan.inference_interval_ns(),
+            forward_pj: plan.forward_energy_pj(),
+            buffer_pj: plan.inference_buffer_energy_pj(),
+        }
+    }
+
+    fn service_ns(&self, batch: usize) -> u64 {
+        assert!(batch > 0, "need at least one input");
+        let latency_s = (self.fill_ns + (batch - 1) as f64 * self.interval_ns) * 1e-9;
+        ((latency_s * 1e9).ceil() as u64).max(1)
+    }
+
+    fn energy_pj(&self, batch: usize) -> f64 {
+        let b = batch as f64;
+        b * self.forward_pj + b * self.buffer_pj
+    }
+}
+
 /// One accelerator chip plus its serving-time state.
 #[derive(Debug, Clone)]
 pub struct Chip {
     /// Chip index within the cluster.
     pub id: usize,
-    /// One lowered plan per catalog model.
-    plans: Vec<ExecutionPlan>,
+    /// One batch price per catalog model.
+    prices: Vec<BatchPrice>,
     /// Simulated time at which the chip's dispatch queue drains.
     pub busy_until_ns: u64,
     /// Requests dispatched to this chip and not yet completed.
@@ -36,10 +78,10 @@ pub struct Chip {
 }
 
 impl Chip {
-    fn new(id: usize, plans: Vec<ExecutionPlan>) -> Self {
+    fn new(id: usize, prices: Vec<BatchPrice>) -> Self {
         Self {
             id,
-            plans,
+            prices,
             busy_until_ns: 0,
             queued_requests: 0,
             busy_ns: 0,
@@ -49,14 +91,9 @@ impl Chip {
         }
     }
 
-    /// The lowered plan for one catalog model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `model` is not a catalog index.
-    pub fn plan(&self, model: usize) -> &ExecutionPlan {
-        assert!(model < self.plans.len(), "model {model} not in catalog");
-        &self.plans[model]
+    fn price(&self, model: usize) -> BatchPrice {
+        assert!(model < self.prices.len(), "model {model} not in catalog");
+        self.prices[model]
     }
 
     /// Service latency of one batch of `batch` requests of `model` on this
@@ -67,7 +104,7 @@ impl Chip {
     ///
     /// Panics if `model` is not a catalog index or `batch` is zero.
     pub fn batch_service_ns(&self, model: usize, batch: usize) -> u64 {
-        (self.plan(model).batch_inference_latency_ns(batch).ceil() as u64).max(1)
+        self.price(model).service_ns(batch)
     }
 
     /// Energy of serving one batch: per-input forward crossbar energy plus
@@ -77,8 +114,7 @@ impl Chip {
     ///
     /// Panics if `model` is not a catalog index.
     pub fn batch_energy_pj(&self, model: usize, batch: usize) -> f64 {
-        let plan = self.plan(model);
-        plan.batch_forward_energy_pj(batch) + batch as f64 * plan.inference_buffer_energy_pj()
+        self.price(model).energy_pj(batch)
     }
 
     /// Predicted completion time of a batch dispatched now: the chip works
@@ -103,8 +139,8 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Builds a homogeneous cluster: `n` identical chips, each loaded with
-    /// every catalog model lowered for `config`.
+    /// Builds a homogeneous cluster: `n` identical chips, each priced by
+    /// every catalog model lowered once for `config`.
     ///
     /// # Errors
     ///
@@ -116,7 +152,14 @@ impl Cluster {
         catalog: &[NetworkSpec],
         config: &AcceleratorConfig,
     ) -> Result<Self, ServeError> {
-        Self::heterogeneous(&vec![config.clone(); n], catalog)
+        if n == 0 {
+            return Err(ServeError::NoChips);
+        }
+        let prices = lower_prices(catalog, config)?;
+        Ok(Self::from_prices(
+            (0..n).map(|_| prices.clone()).collect(),
+            catalog,
+        ))
     }
 
     /// Builds a cluster with one [`AcceleratorConfig`] per chip — chips may
@@ -136,21 +179,22 @@ impl Cluster {
         if configs.is_empty() {
             return Err(ServeError::NoChips);
         }
-        if catalog.is_empty() {
-            return Err(ServeError::NoModels);
-        }
-        let mut chips = Vec::with_capacity(configs.len());
-        for (id, config) in configs.iter().enumerate() {
-            let plans = catalog
-                .iter()
-                .map(|net| ExecutionPlan::lower(net, config))
-                .collect::<Result<Vec<_>, _>>()?;
-            chips.push(Chip::new(id, plans));
-        }
-        Ok(Self {
-            chips,
+        let prices = configs
+            .iter()
+            .map(|config| lower_prices(catalog, config))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self::from_prices(prices, catalog))
+    }
+
+    fn from_prices(prices: Vec<Vec<BatchPrice>>, catalog: &[NetworkSpec]) -> Self {
+        Self {
+            chips: prices
+                .into_iter()
+                .enumerate()
+                .map(|(id, p)| Chip::new(id, p))
+                .collect(),
             model_names: catalog.iter().map(|n| n.name.clone()).collect(),
-        })
+        }
     }
 
     /// Number of chips.
@@ -169,18 +213,32 @@ impl Cluster {
     }
 }
 
+/// Lowers every catalog model for one chip configuration and keeps its
+/// batch price.
+fn lower_prices(
+    catalog: &[NetworkSpec],
+    config: &AcceleratorConfig,
+) -> Result<Vec<BatchPrice>, ServeError> {
+    if catalog.is_empty() {
+        return Err(ServeError::NoModels);
+    }
+    catalog
+        .iter()
+        .map(|net| Ok(BatchPrice::of(&ExecutionPlan::lower(net, config)?)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use reram_nn::models;
 
+    fn catalog() -> [NetworkSpec; 2] {
+        [models::lenet_spec(), models::alexnet_spec()]
+    }
+
     fn cluster() -> Cluster {
-        Cluster::homogeneous(
-            3,
-            &[models::lenet_spec(), models::alexnet_spec()],
-            &AcceleratorConfig::default(),
-        )
-        .expect("buildable")
+        Cluster::homogeneous(3, &catalog(), &AcceleratorConfig::default()).expect("buildable")
     }
 
     #[test]
@@ -197,14 +255,42 @@ mod tests {
     }
 
     #[test]
-    fn batch_pricing_follows_the_plan_closed_forms() {
+    fn batch_pricing_is_bit_identical_to_the_plan_closed_forms() {
+        // One chip per array geometry, so each prices through its own plans.
+        let configs: Vec<AcceleratorConfig> = [64, 128, 256]
+            .iter()
+            .map(|&n| {
+                let mut config = AcceleratorConfig::default();
+                config.crossbar = config.crossbar.with_array_size(n, n);
+                config
+            })
+            .collect();
+        let c = Cluster::heterogeneous(&configs, &catalog()).expect("buildable");
+        for (chip, config) in c.chips.iter().zip(&configs) {
+            for (model, net) in catalog().iter().enumerate() {
+                let plan = ExecutionPlan::lower(net, config).expect("lowerable");
+                for batch in 1..=64 {
+                    let ns = (plan.batch_inference_latency_ns(batch).ceil() as u64).max(1);
+                    assert_eq!(chip.batch_service_ns(model, batch), ns);
+                    let pj = plan.batch_forward_energy_pj(batch)
+                        + batch as f64 * plan.inference_buffer_energy_pj();
+                    assert_eq!(chip.batch_energy_pj(model, batch).to_bits(), pj.to_bits());
+                }
+            }
+        }
+        // The geometries actually price differently.
+        assert_ne!(
+            c.chips[0].batch_service_ns(1, 8),
+            c.chips[2].batch_service_ns(1, 8)
+        );
+    }
+
+    #[test]
+    fn batching_amortizes_service_time() {
         let c = cluster();
         let chip = &c.chips[0];
         for model in 0..c.models() {
-            let plan = chip.plan(model);
-            let want = plan.batch_inference_latency_ns(8).ceil() as u64;
-            assert_eq!(chip.batch_service_ns(model, 8), want.max(1));
-            // Batching amortizes: 8 together beat 8 separate dispatches.
+            // 8 together beat 8 separate dispatches.
             assert!(8 * chip.batch_service_ns(model, 1) > chip.batch_service_ns(model, 8));
             let e = chip.batch_energy_pj(model, 4);
             assert!((e / 4.0 - chip.batch_energy_pj(model, 1)).abs() < 1e-6);
@@ -232,6 +318,14 @@ mod tests {
         );
         assert_eq!(
             Cluster::homogeneous(2, &[], &cfg).unwrap_err(),
+            ServeError::NoModels
+        );
+        assert_eq!(
+            Cluster::heterogeneous(&[], &[models::lenet_spec()]).unwrap_err(),
+            ServeError::NoChips
+        );
+        assert_eq!(
+            Cluster::heterogeneous(&[cfg], &[]).unwrap_err(),
             ServeError::NoModels
         );
     }

@@ -11,21 +11,24 @@
 //! The moving parts:
 //!
 //! * [`workload`] — seeded request generators (stationary Poisson, bursty
-//!   two-state MMPP, replayable traces) over a model catalog, producing
-//!   [`Request`]s tagged with a model index.
-//! * [`cluster`] — a [`Cluster`] of [`Chip`]s, each wrapping one lowered
-//!   [`reram_core::ExecutionPlan`] per catalog model and exposing
-//!   busy-until / queue-depth state.
+//!   two-state MMPP, replayable traces) over a model catalog: a lazy
+//!   [`RequestStream`] of [`Request`]s tagged with a model index.
+//! * [`cluster`] — a [`Cluster`] of [`Chip`]s, each carrying the batch
+//!   prices of one lowered [`reram_core::ExecutionPlan`] per catalog model
+//!   (computed once when the cluster is built) and exposing busy-until /
+//!   queue-depth state.
 //! * [`batcher`] — a dynamic batcher ([`BatcherConfig`]): close a batch at
 //!   `max_batch` requests or when the oldest waiter has lingered
 //!   `max_linger_ns`, whichever comes first.
 //! * [`scheduler`] — the [`Scheduler`] for each placement [`Policy`]:
 //!   round-robin, least-loaded, and plan-cost-aware.
-//! * [`sim`] — the deterministic event loop ([`ServeSim`]): a binary-heap
-//!   event queue over simulated nanoseconds (no wall clock anywhere), and
-//!   the [`simulate`] convenience entry point.
+//! * [`sim`] — the deterministic event loop ([`ServeSim`]): the sorted
+//!   arrival stream merged with a binary heap of in-flight events (linger
+//!   deadlines and batch completions) over simulated nanoseconds (no wall
+//!   clock anywhere), and the [`simulate`] convenience entry point.
 //! * [`report`] — the serializable [`ServeReport`]: throughput, latency
-//!   percentiles, per-chip utilization and energy.
+//!   percentiles (selected in linear time, not sorted), per-chip
+//!   utilization and energy.
 //!
 //! Simulated time is `u64` nanoseconds throughout. Same seed + same config
 //! ⇒ byte-identical [`ServeReport`] JSON; the test suite pins that.
@@ -59,7 +62,7 @@ pub use cluster::{Chip, Cluster};
 pub use report::{ChipReport, ServeReport};
 pub use scheduler::{Policy, Scheduler};
 pub use sim::{simulate, ServeConfig, ServeSim};
-pub use workload::{generate_requests, ModelMix, Request, TrafficModel};
+pub use workload::{generate_requests, ModelMix, Request, RequestStream, TrafficModel};
 
 use reram_core::PlanError;
 

@@ -173,21 +173,118 @@ impl ServeReport {
     }
 }
 
-/// The `q`-quantile of sorted latencies via the nearest-rank method
-/// (`ceil(q·n)`-th smallest; `q` in `(0, 1]`). `None` for an empty sample —
-/// an empty run has no percentile, not a zero-nanosecond one.
-pub(crate) fn percentile_ns(sorted_latencies_ns: &[u64], q: f64) -> Option<u64> {
+/// Nearest-rank latency statistics of one run, nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LatencySummary {
+    pub p50_ns: u64,
+    pub p95_ns: u64,
+    pub p99_ns: u64,
+    pub max_ns: u64,
+}
+
+/// The quantiles a [`LatencySummary`] reports, ascending.
+const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+
+/// Zero-based index of the nearest-rank `q`-quantile (`ceil(q·n)`-th
+/// smallest; `q` in `(0, 1]`) of `n > 0` samples.
+fn nearest_rank_index(n: usize, q: f64) -> usize {
+    let rank = (q * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
+}
+
+/// p50, p95, p99 and max of `latencies_ns` by nearest rank, in O(n): one
+/// `select_nth_unstable` per quantile, each on the slice above the
+/// previous one. Reorders `latencies_ns`. `None` for an empty sample — an
+/// empty run has no percentile, not a zero-nanosecond one.
+pub(crate) fn latency_summary(latencies_ns: &mut [u64]) -> Option<LatencySummary> {
+    let n = latencies_ns.len();
+    if n == 0 {
+        return None;
+    }
+    let mut picked = [0u64; QUANTILES.len()];
+    // Everything before `lo` is at most everything from `lo` on.
+    let mut lo = 0;
+    for (slot, q) in picked.iter_mut().zip(QUANTILES) {
+        let at = nearest_rank_index(n, q);
+        let (_, nth, _) = latencies_ns[lo..].select_nth_unstable(at - lo);
+        *slot = *nth;
+        lo = at;
+    }
+    let max_ns = latencies_ns[lo..].iter().copied().fold(picked[2], u64::max);
+    let [p50_ns, p95_ns, p99_ns] = picked;
+    Some(LatencySummary {
+        p50_ns,
+        p95_ns,
+        p99_ns,
+        max_ns,
+    })
+}
+
+/// The `q`-quantile of sorted latencies via the nearest-rank method — the
+/// sorting oracle [`latency_summary`] is tested against.
+#[cfg(test)]
+fn percentile_ns(sorted_latencies_ns: &[u64], q: f64) -> Option<u64> {
     if sorted_latencies_ns.is_empty() {
         return None;
     }
-    let n = sorted_latencies_ns.len();
-    let rank = (q * n as f64).ceil() as usize;
-    Some(sorted_latencies_ns[rank.clamp(1, n) - 1])
+    Some(sorted_latencies_ns[nearest_rank_index(sorted_latencies_ns.len(), q)])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The sort-based statistics [`latency_summary`] must reproduce.
+    fn sorted_oracle(latencies_ns: &[u64]) -> Option<LatencySummary> {
+        let mut sorted = latencies_ns.to_vec();
+        sorted.sort_unstable();
+        Some(LatencySummary {
+            p50_ns: percentile_ns(&sorted, 0.50)?,
+            p95_ns: percentile_ns(&sorted, 0.95)?,
+            p99_ns: percentile_ns(&sorted, 0.99)?,
+            max_ns: *sorted.last()?,
+        })
+    }
+
+    proptest! {
+        /// Small value ranges force duplicates, including runs of equal
+        /// values straddling the selected ranks.
+        #[test]
+        fn selection_matches_the_sorted_oracle(
+            n in 1usize..300,
+            distinct in 1u64..40,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let latencies: Vec<u64> = (0..n).map(|_| rng.gen_range(0..distinct)).collect();
+            let mut scratch = latencies.clone();
+            prop_assert_eq!(latency_summary(&mut scratch), sorted_oracle(&latencies));
+        }
+    }
+
+    #[test]
+    fn selection_handles_tiny_and_empty_samples() {
+        assert_eq!(latency_summary(&mut []), None);
+        let one = LatencySummary {
+            p50_ns: 7,
+            p95_ns: 7,
+            p99_ns: 7,
+            max_ns: 7,
+        };
+        assert_eq!(latency_summary(&mut [7]), Some(one));
+        for pair in [[3, 9], [9, 3], [5, 5]] {
+            let mut scratch = pair;
+            assert_eq!(latency_summary(&mut scratch), sorted_oracle(&pair));
+        }
+        // Nearest rank over two samples: the median is the smaller one.
+        let mut two = [9, 3];
+        let s = latency_summary(&mut two).expect("non-empty");
+        assert_eq!((s.p50_ns, s.p95_ns, s.p99_ns, s.max_ns), (3, 9, 9, 9));
+    }
 
     #[test]
     fn nearest_rank_percentiles() {

@@ -1,25 +1,31 @@
 //! The deterministic discrete-event loop.
 //!
-//! [`ServeSim`] drains a binary-heap event queue keyed on `(time, seq)` —
-//! simulated nanoseconds plus a monotone sequence number, so simultaneous
-//! events replay in insertion order and two runs of the same seed are
-//! byte-identical. Wall-clock types are lint-banned from this crate; the
-//! only clock is the head of the heap.
+//! [`ServeSim`] merges two time-ordered sources: the arrival stream, which
+//! the caller supplies sorted, and a binary heap of the loop's own events
+//! keyed on `(time, seq)` — simulated nanoseconds plus a monotone sequence
+//! number, so simultaneous events replay in insertion order and two runs
+//! of the same seed are byte-identical. An arrival is taken whenever it is
+//! no later than the head of the heap, so arrivals win ties against
+//! internal events. The heap holds only in-flight work (open linger
+//! deadlines and dispatched batches), never the horizon's arrivals, so its
+//! size is bounded by the cluster's occupancy, not by the request count.
+//! Wall-clock types are lint-banned from this crate; the only clock is the
+//! merged head.
 //!
-//! Three event kinds close the loop:
+//! Arrivals and two internal event kinds close the loop:
 //!
-//! 1. `Arrival` — a request joins its model's batch queue
+//! 1. an arrival — the request joins its model's batch queue
 //!    ([`reram_telemetry::Event::RequestEnqueued`]); filling the batch
 //!    dispatches it, opening one schedules a linger deadline.
 //! 2. `BatchDeadline` — the oldest waiter lingered long enough; a partial
 //!    batch dispatches unless the deadline went stale (generation
 //!    mismatch).
 //! 3. `BatchDone` — a chip finished a batch; every request in it completes
-//!    ([`reram_telemetry::Event::RequestCompleted`]) and its latency is
-//!    recorded.
+//!    ([`reram_telemetry::Event::RequestCompleted`]), its latency is
+//!    recorded, and the batch buffer goes back to the batcher for reuse.
 //!
 //! Dispatch asks the [`Scheduler`] for a chip, charges the chip's FIFO
-//! queue with the plan-priced service latency, and emits
+//! queue with its precomputed batch price, and emits
 //! [`reram_telemetry::Event::BatchFormed`].
 
 use std::cmp::Ordering;
@@ -34,16 +40,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::batcher::{BatchAction, Batcher, BatcherConfig};
 use crate::cluster::Cluster;
-use crate::report::{percentile_ns, ChipReport, ServeReport};
+use crate::report::{latency_summary, ChipReport, ServeReport};
 use crate::scheduler::{Policy, Scheduler};
-use crate::workload::{generate_requests, ModelMix, Request, TrafficModel};
+use crate::workload::{ModelMix, Request, RequestStream, TrafficModel};
 use crate::ServeError;
 
-/// What happens at one simulated instant.
+/// What the loop itself scheduled for a simulated instant.
 #[derive(Debug, Clone)]
 enum EventKind {
-    /// A request arrives at the serving layer.
-    Arrival(Request),
     /// A dynamic batch's linger deadline fires.
     BatchDeadline { model: usize, generation: u64 },
     /// A chip finishes serving a batch.
@@ -223,34 +227,58 @@ impl ServeSim {
         self.push_event(done_ns, EventKind::BatchDone { chip: id, requests });
     }
 
-    /// Runs the simulation over a pre-generated arrival sequence until
-    /// every admitted request completes, then reports.
-    pub fn run(mut self, arrivals: Vec<Request>) -> ServeReport {
-        for request in arrivals {
-            self.push_event(request.arrival_ns, EventKind::Arrival(request));
+    /// Admits one request into its model's batch queue.
+    fn arrive(&mut self, request: Request) {
+        let now_ns = request.arrival_ns;
+        self.admitted += 1;
+        telemetry::record(telemetry::Event::RequestEnqueued, 1);
+        match self.batcher.push(request, now_ns) {
+            BatchAction::Dispatch(batch) => self.dispatch(now_ns, batch),
+            BatchAction::Deadline {
+                model,
+                generation,
+                deadline_ns,
+            } => self.push_event(deadline_ns, EventKind::BatchDeadline { model, generation }),
+            BatchAction::Wait => {}
         }
+    }
+
+    /// Runs the simulation over a sorted arrival sequence until every
+    /// admitted request completes, then reports.
+    ///
+    /// Arrivals are pulled lazily, one at a time, so `arrivals` may be a
+    /// [`RequestStream`] of any length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an arrival is earlier than the one before it: the arrival
+    /// sequence must be sorted by `arrival_ns`, as
+    /// [`crate::generate_requests`] and [`RequestStream`] produce it.
+    pub fn run(mut self, arrivals: impl IntoIterator<Item = Request>) -> ServeReport {
+        let mut arrivals = arrivals.into_iter().peekable();
+        let mut last_arrival_ns = 0u64;
         let mut makespan_ns = 0u64;
-        while let Some(event) = self.queue.pop() {
+        loop {
+            // Arrivals win ties, so a request arriving exactly at a linger
+            // deadline still joins the batch that deadline closes.
+            let next_internal_ns = self.queue.peek().map(|e| e.at_ns);
+            if let Some(request) =
+                arrivals.next_if(|r| next_internal_ns.is_none_or(|at| r.arrival_ns <= at))
+            {
+                assert!(
+                    request.arrival_ns >= last_arrival_ns,
+                    "arrivals must be sorted: {} ns after {last_arrival_ns} ns",
+                    request.arrival_ns
+                );
+                last_arrival_ns = request.arrival_ns;
+                self.arrive(request);
+                continue;
+            }
+            let Some(event) = self.queue.pop() else {
+                break;
+            };
             let now_ns = event.at_ns;
             match event.kind {
-                EventKind::Arrival(request) => {
-                    self.admitted += 1;
-                    telemetry::record(telemetry::Event::RequestEnqueued, 1);
-                    match self.batcher.push(request, now_ns) {
-                        BatchAction::Dispatch(batch) => self.dispatch(now_ns, batch),
-                        BatchAction::Deadline {
-                            model,
-                            generation,
-                            deadline_ns,
-                        } => {
-                            self.push_event(
-                                deadline_ns,
-                                EventKind::BatchDeadline { model, generation },
-                            );
-                        }
-                        BatchAction::Wait => {}
-                    }
-                }
                 EventKind::BatchDeadline { model, generation } => {
                     if let Some(batch) = self.batcher.flush_deadline(model, generation) {
                         self.dispatch(now_ns, batch);
@@ -262,10 +290,10 @@ impl ServeSim {
                     chip.completed_requests += requests.len() as u64;
                     telemetry::record(telemetry::Event::RequestCompleted, requests.len() as u64);
                     makespan_ns = makespan_ns.max(now_ns);
-                    for request in requests {
-                        self.completed += 1;
-                        self.latencies_ns.push(now_ns - request.arrival_ns);
-                    }
+                    self.completed += requests.len() as u64;
+                    self.latencies_ns
+                        .extend(requests.iter().map(|r| now_ns - r.arrival_ns));
+                    self.batcher.recycle(requests);
                 }
             }
         }
@@ -274,13 +302,16 @@ impl ServeSim {
     }
 
     fn report(mut self, makespan_ns: u64) -> ServeReport {
-        self.latencies_ns.sort_unstable();
         let n = self.latencies_ns.len();
         let mean_latency_ns = if n == 0 {
             0.0
         } else {
-            self.latencies_ns.iter().map(|&l| l as f64).sum::<f64>() / n as f64
+            // Exact; equal to a running f64 sum while the total stays
+            // below 2^53 ns.
+            let total_ns: u128 = self.latencies_ns.iter().map(|&l| u128::from(l)).sum();
+            total_ns as f64 / n as f64
         };
+        let summary = latency_summary(&mut self.latencies_ns);
         let chips: Vec<ChipReport> = self
             .cluster
             .chips
@@ -315,18 +346,18 @@ impl ServeSim {
                 self.completed as f64 / (makespan_ns as f64 * 1e-9)
             },
             mean_latency_ns,
-            p50_latency_ns: percentile_ns(&self.latencies_ns, 0.50),
-            p95_latency_ns: percentile_ns(&self.latencies_ns, 0.95),
-            p99_latency_ns: percentile_ns(&self.latencies_ns, 0.99),
-            max_latency_ns: self.latencies_ns.last().copied().unwrap_or(0),
+            p50_latency_ns: summary.map(|s| s.p50_ns),
+            p95_latency_ns: summary.map(|s| s.p95_ns),
+            p99_latency_ns: summary.map(|s| s.p99_ns),
+            max_latency_ns: summary.map_or(0, |s| s.max_ns),
             total_energy_uj: chips.iter().map(|c| c.energy_uj).sum(),
             chips,
         }
     }
 }
 
-/// One-call entry point: build a homogeneous cluster over `catalog`,
-/// generate the seeded workload, and run it under the configured policy.
+/// One-call entry point: build a homogeneous cluster over `catalog`, and
+/// stream the seeded workload through it under the configured policy.
 ///
 /// # Errors
 ///
@@ -343,7 +374,7 @@ pub fn simulate(
     if mix.models() != catalog.len() {
         return Err(ServeError::BadMix);
     }
-    let arrivals = generate_requests(&config.traffic, &mix, config.horizon_ns, config.seed)?;
+    let arrivals = RequestStream::new(&config.traffic, &mix, config.horizon_ns, config.seed)?;
     let sim = ServeSim::new(
         cluster,
         config.batcher,
@@ -481,6 +512,26 @@ mod tests {
                 .any(|v| matches!(v, Violation::Overload { rho, .. } if *rho >= 1.0)),
             "expected an Overload violation, got {violations:?}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals must be sorted")]
+    fn out_of_order_arrivals_panic() {
+        let cluster =
+            Cluster::homogeneous(1, &catalog(), &AcceleratorConfig::default()).expect("buildable");
+        let sim = ServeSim::new(
+            cluster,
+            BatcherConfig::default(),
+            Policy::RoundRobin.scheduler(),
+            0,
+        )
+        .expect("buildable");
+        let request = |id, arrival_ns| Request {
+            id,
+            model: 0,
+            arrival_ns,
+        };
+        let _ = sim.run([request(0, 500), request(1, 100)]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Seeded workload generators: stationary Poisson, bursty MMPP, and traces.
 //!
-//! A generator turns a [`TrafficModel`] plus a [`ModelMix`] into a sorted
-//! vector of [`Request`]s over a fixed horizon of simulated nanoseconds.
+//! A [`RequestStream`] turns a [`TrafficModel`] plus a [`ModelMix`] into
+//! the sorted sequence of [`Request`]s over a fixed horizon of simulated
+//! nanoseconds, one request at a time; [`generate_requests`] collects it.
 //! All randomness comes from one seeded [`StdRng`], so a `(traffic, mix,
 //! horizon, seed)` tuple always reproduces the same arrival sequence —
 //! the foundation of the simulator's byte-identical replay guarantee.
@@ -178,9 +179,177 @@ fn exp_gap_ns(mean_ns: f64, rng: &mut StdRng) -> u64 {
     (gap.round() as u64).max(1)
 }
 
+/// Where the next arrival comes from, with the generator state it needs.
+#[derive(Debug, Clone)]
+enum Source {
+    Poisson {
+        mean_gap_ns: f64,
+        t: u64,
+    },
+    Bursty {
+        base_rps: f64,
+        burst_rps: f64,
+        mean_base_ns: f64,
+        mean_burst_ns: f64,
+        in_burst: bool,
+        t: u64,
+        state_end: u64,
+    },
+    /// The in-horizon trace entries, sorted by arrival time.
+    Trace(std::vec::IntoIter<(u64, usize)>),
+}
+
+/// The request sequence of one [`TrafficModel`] over a horizon, generated
+/// lazily in arrival order.
+///
+/// Memory is O(1) for the Poisson and bursty generators (a trace keeps its
+/// in-horizon entries), so a simulation can stream arbitrarily long
+/// horizons. [`generate_requests`] collects it into a vector. Once it
+/// returns `None` it keeps returning `None`.
+#[derive(Debug, Clone)]
+pub struct RequestStream {
+    rng: StdRng,
+    mix: ModelMix,
+    horizon_ns: u64,
+    next_id: u64,
+    source: Source,
+}
+
+impl RequestStream {
+    /// Starts the seeded request sequence of `traffic` over `horizon_ns`
+    /// simulated nanoseconds, tagging each request with a model drawn from
+    /// `mix`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::BadTraffic`] for non-positive rates or dwell
+    /// times, and [`ServeError::BadMix`] when an in-horizon trace entry's
+    /// model index is outside the mix.
+    #[must_use = "the request stream is the result"]
+    pub fn new(
+        traffic: &TrafficModel,
+        mix: &ModelMix,
+        horizon_ns: u64,
+        seed: u64,
+    ) -> Result<Self, ServeError> {
+        traffic.validate()?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let source = match traffic {
+            TrafficModel::Poisson { rate_rps } => Source::Poisson {
+                mean_gap_ns: 1e9 / rate_rps,
+                t: 0,
+            },
+            TrafficModel::Bursty {
+                base_rps,
+                burst_rps,
+                mean_base_ns,
+                mean_burst_ns,
+            } => Source::Bursty {
+                base_rps: *base_rps,
+                burst_rps: *burst_rps,
+                mean_base_ns: *mean_base_ns,
+                mean_burst_ns: *mean_burst_ns,
+                in_burst: false,
+                t: 0,
+                state_end: exp_gap_ns(*mean_base_ns, &mut rng),
+            },
+            TrafficModel::Trace { arrivals } => {
+                let mut kept = Vec::new();
+                for &(arrival_ns, model) in arrivals {
+                    if arrival_ns >= horizon_ns {
+                        continue;
+                    }
+                    if model >= mix.models() {
+                        return Err(ServeError::BadMix);
+                    }
+                    kept.push((arrival_ns, model));
+                }
+                // Stable: same-instant entries keep their trace order.
+                kept.sort_by_key(|&(arrival_ns, _)| arrival_ns);
+                Source::Trace(kept.into_iter())
+            }
+        };
+        Ok(Self {
+            rng,
+            mix: mix.clone(),
+            horizon_ns,
+            next_id: 0,
+            source,
+        })
+    }
+
+    /// The next arrival time and model, or `None` once the horizon passes.
+    #[inline]
+    fn draw(&mut self) -> Option<(u64, usize)> {
+        let rng = &mut self.rng;
+        match &mut self.source {
+            Source::Poisson { mean_gap_ns, t } => {
+                *t = t.saturating_add(exp_gap_ns(*mean_gap_ns, rng));
+                if *t >= self.horizon_ns {
+                    return None;
+                }
+                Some((*t, self.mix.sample(rng)))
+            }
+            Source::Bursty {
+                base_rps,
+                burst_rps,
+                mean_base_ns,
+                mean_burst_ns,
+                in_burst,
+                t,
+                state_end,
+            } => {
+                while *t < self.horizon_ns {
+                    let rate = if *in_burst { *burst_rps } else { *base_rps };
+                    let next = t.saturating_add(exp_gap_ns(1e9 / rate, rng));
+                    if next >= *state_end {
+                        // State expires before the next arrival: switch
+                        // state and restart the (memoryless) arrival draw
+                        // there.
+                        *t = *state_end;
+                        *in_burst = !*in_burst;
+                        let dwell = if *in_burst {
+                            *mean_burst_ns
+                        } else {
+                            *mean_base_ns
+                        };
+                        *state_end = state_end.saturating_add(exp_gap_ns(dwell, rng));
+                        continue;
+                    }
+                    *t = next;
+                    if *t >= self.horizon_ns {
+                        break;
+                    }
+                    return Some((*t, self.mix.sample(rng)));
+                }
+                None
+            }
+            Source::Trace(arrivals) => arrivals.next(),
+        }
+    }
+}
+
+impl Iterator for RequestStream {
+    type Item = Request;
+
+    #[inline]
+    fn next(&mut self) -> Option<Request> {
+        let (arrival_ns, model) = self.draw()?;
+        let id = self.next_id;
+        self.next_id += 1;
+        Some(Request {
+            id,
+            model,
+            arrival_ns,
+        })
+    }
+}
+
+impl std::iter::FusedIterator for RequestStream {}
+
 /// Generates the sorted request sequence of `traffic` over `horizon_ns`
 /// simulated nanoseconds, tagging each request with a model drawn from
-/// `mix`.
+/// `mix`: the whole [`RequestStream`], collected into a vector.
 ///
 /// # Errors
 ///
@@ -194,80 +363,11 @@ pub fn generate_requests(
     horizon_ns: u64,
     seed: u64,
 ) -> Result<Vec<Request>, ServeError> {
-    traffic.validate()?;
-    let mut rng = StdRng::seed_from_u64(seed);
+    // A push loop rather than `collect()`: `Vec`'s generic extend path
+    // compiles this generator about twice as slow.
     let mut requests = Vec::new();
-    match traffic {
-        TrafficModel::Poisson { rate_rps } => {
-            let mean_gap_ns = 1e9 / rate_rps;
-            let mut t = 0u64;
-            loop {
-                t = t.saturating_add(exp_gap_ns(mean_gap_ns, &mut rng));
-                if t >= horizon_ns {
-                    break;
-                }
-                requests.push(Request {
-                    id: requests.len() as u64,
-                    model: mix.sample(&mut rng),
-                    arrival_ns: t,
-                });
-            }
-        }
-        TrafficModel::Bursty {
-            base_rps,
-            burst_rps,
-            mean_base_ns,
-            mean_burst_ns,
-        } => {
-            let mut in_burst = false;
-            let mut t = 0u64;
-            let mut state_end = exp_gap_ns(*mean_base_ns, &mut rng);
-            while t < horizon_ns {
-                let rate = if in_burst { *burst_rps } else { *base_rps };
-                let next = t.saturating_add(exp_gap_ns(1e9 / rate, &mut rng));
-                if next >= state_end {
-                    // State expires before the next arrival: switch state
-                    // and restart the (memoryless) arrival draw there.
-                    t = state_end;
-                    in_burst = !in_burst;
-                    let dwell = if in_burst {
-                        *mean_burst_ns
-                    } else {
-                        *mean_base_ns
-                    };
-                    state_end = state_end.saturating_add(exp_gap_ns(dwell, &mut rng));
-                    continue;
-                }
-                t = next;
-                if t >= horizon_ns {
-                    break;
-                }
-                requests.push(Request {
-                    id: requests.len() as u64,
-                    model: mix.sample(&mut rng),
-                    arrival_ns: t,
-                });
-            }
-        }
-        TrafficModel::Trace { arrivals } => {
-            for &(arrival_ns, model) in arrivals {
-                if arrival_ns >= horizon_ns {
-                    continue;
-                }
-                if model >= mix.models() {
-                    return Err(ServeError::BadMix);
-                }
-                requests.push(Request {
-                    id: 0,
-                    model,
-                    arrival_ns,
-                });
-            }
-            requests.sort_by_key(|r| r.arrival_ns);
-            for (i, r) in requests.iter_mut().enumerate() {
-                r.id = i as u64;
-            }
-        }
+    for request in RequestStream::new(traffic, mix, horizon_ns, seed)? {
+        requests.push(request);
     }
     Ok(requests)
 }
@@ -348,6 +448,32 @@ mod tests {
         assert_eq!(a, b);
         let c = generate_requests(&traffic, &mix, 4_000_000, 100).expect("c");
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn stream_stays_exhausted_after_the_horizon() {
+        let mix = ModelMix::uniform(2).expect("mix");
+        for traffic in [
+            TrafficModel::Poisson {
+                rate_rps: 500_000.0,
+            },
+            TrafficModel::Bursty {
+                base_rps: 100_000.0,
+                burst_rps: 1_000_000.0,
+                mean_base_ns: 200_000.0,
+                mean_burst_ns: 50_000.0,
+            },
+            TrafficModel::Trace {
+                arrivals: vec![(5, 0), (1, 1), (2_000, 0)],
+            },
+        ] {
+            let mut stream = RequestStream::new(&traffic, &mix, 1_000_000, 3).expect("valid");
+            let drained = stream.by_ref().count();
+            assert!(drained > 0, "{traffic:?}");
+            for _ in 0..4 {
+                assert_eq!(stream.next(), None, "{traffic:?}");
+            }
+        }
     }
 
     #[test]

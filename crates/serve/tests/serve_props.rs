@@ -116,3 +116,48 @@ fn same_seed_is_byte_identical() {
         assert_ne!(a.to_json(), c.to_json(), "{}", policy.name());
     }
 }
+
+/// `simulate` streams its arrivals straight into the loop; feeding the
+/// loop the same requests collected up front must give the same bytes.
+#[test]
+fn streamed_simulate_equals_collected_run() {
+    let accel = AcceleratorConfig::default();
+    for traffic in [
+        TrafficModel::Poisson {
+            rate_rps: 900_000.0,
+        },
+        TrafficModel::Bursty {
+            base_rps: 200_000.0,
+            burst_rps: 2_000_000.0,
+            mean_base_ns: 400_000.0,
+            mean_burst_ns: 150_000.0,
+        },
+        TrafficModel::Trace {
+            arrivals: (0..600u64)
+                .map(|i| ((i % 200) * 5_000, (i % 3 == 0) as usize))
+                .collect(),
+        },
+    ] {
+        for policy in Policy::ALL {
+            let cfg = ServeConfig {
+                traffic: traffic.clone(),
+                ..config(policy, 1.0, 31)
+            };
+            let streamed = simulate(&cfg, &catalog(), &accel).expect("simulates");
+            let mix = ModelMix::new(&cfg.mix).expect("mix");
+            let arrivals =
+                generate_requests(&cfg.traffic, &mix, cfg.horizon_ns, cfg.seed).expect("generable");
+            let cluster = Cluster::homogeneous(cfg.chips, &catalog(), &accel).expect("cluster");
+            let collected = ServeSim::new(cluster, cfg.batcher, policy.scheduler(), cfg.seed)
+                .expect("buildable")
+                .run(arrivals);
+            assert!(streamed.requests_completed > 0, "{traffic:?}");
+            assert_eq!(
+                streamed.to_json(),
+                collected.to_json(),
+                "{traffic:?} {}",
+                policy.name()
+            );
+        }
+    }
+}
