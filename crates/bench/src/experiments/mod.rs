@@ -1,6 +1,6 @@
 //! One module per paper artifact. Each `run()` returns a [`crate::Table`]
 //! whose rows are what `EXPERIMENTS.md` records; helper functions expose the
-//! underlying numbers to the Criterion benches and integration tests.
+//! underlying numbers to the tests.
 
 pub mod ablations;
 pub mod fig3;

@@ -1,6 +1,6 @@
-//! Experiment harness shared by the `repro` binary and the Criterion
-//! benches: one module per paper artifact (table / figure), each producing
-//! printable rows so the binary and the benches report identical data.
+//! Experiment harness behind the `repro` binary: one module per paper
+//! artifact (table / figure), each producing printable rows so the binary
+//! and the tests report identical data.
 //!
 //! See `EXPERIMENTS.md` at the workspace root for the paper-vs-measured
 //! record produced by `cargo run -p reram-bench --bin repro --release`.

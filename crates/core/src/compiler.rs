@@ -85,9 +85,10 @@ impl TrainableMlp {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::EmptyNetwork`] if `layers` is empty and
-    /// [`CompileError::ShapeMismatch`] if consecutive shapes are
-    /// incompatible.
+    /// Returns [`CompileError::EmptyNetwork`] if `layers` is empty,
+    /// [`CompileError::BadGeometry`] if a weight matrix has no rows or
+    /// columns and [`CompileError::ShapeMismatch`] if consecutive shapes
+    /// are incompatible.
     #[must_use = "the compiled network is the result"]
     pub fn compile(
         layers: Vec<(Matrix, bool)>,
@@ -95,6 +96,12 @@ impl TrainableMlp {
     ) -> Result<Self, CompileError> {
         if layers.is_empty() {
             return Err(CompileError::EmptyNetwork);
+        }
+        if let Some(stage) = layers.iter().position(|(w, _)| is_empty(w)) {
+            return Err(CompileError::BadGeometry {
+                stage,
+                reason: EMPTY_WEIGHTS,
+            });
         }
         for (i, w) in layers.windows(2).enumerate() {
             if w[1].0.cols() != w[0].0.rows() {
@@ -335,35 +342,27 @@ pub enum NetStage {
     Act(Activation),
 }
 
-/// A stage after geometry resolution: every spatial dimension is concrete
-/// and weighted stages know which morphable subarray holds their grid.
+/// Feature-map shape `(c, h, w)`.
+type MapShape = (usize, usize, usize);
+
+/// Why a weighted stage with an empty matrix is rejected: a crossbar grid
+/// cannot hold it.
+const EMPTY_WEIGHTS: &str = "weight matrix has no rows or columns";
+
+fn is_empty(w: &Matrix) -> bool {
+    w.rows() == 0 || w.cols() == 0
+}
+
+/// A stage resolved against the feature map it receives, once, at compile
+/// time: setup, the bank program and the float reference all read it.
 #[derive(Debug)]
-enum LoweredStage {
-    Conv {
-        subarray: usize,
-        k: usize,
-        stride: usize,
-        pad: usize,
-        activation: Option<Activation>,
-        in_c: usize,
-        in_h: usize,
-        in_w: usize,
-        out_c: usize,
-        oh: usize,
-        ow: usize,
-    },
-    MaxPool {
-        k: usize,
-        stride: usize,
-        c: usize,
-        in_h: usize,
-        in_w: usize,
-    },
-    Fc {
-        subarray: usize,
-        activation: Option<Activation>,
-    },
-    Act(Activation),
+struct ResolvedStage {
+    stage: NetStage,
+    input: MapShape,
+    output: MapShape,
+    /// Morphable subarray holding the stage's grid. Only weighted stages
+    /// read it; the others carry the index the next weighted stage gets.
+    subarray: usize,
 }
 
 /// A compiled inference network: CONV / POOL / FC / activation stages
@@ -375,10 +374,8 @@ enum LoweredStage {
 /// im2col window and slot 3 collects its MVM result during CONV execution.
 #[derive(Debug)]
 pub struct CompiledNetwork {
-    stages: Vec<NetStage>,
-    lowered: Vec<LoweredStage>,
-    input_shape: (usize, usize, usize),
-    output_shape: (usize, usize, usize),
+    stages: Vec<ResolvedStage>,
+    input_shape: MapShape,
     bank: Bank,
     setup_done: bool,
 }
@@ -394,7 +391,7 @@ impl CompiledNetwork {
     /// [`CompileError::ShapeMismatch`] when a weight matrix does not match
     /// the feature map the chain delivers, and
     /// [`CompileError::BadGeometry`] when a window/stride does not fit its
-    /// input tensor.
+    /// input tensor or a weight matrix has no rows or columns.
     #[must_use = "the compiled network is the result"]
     pub fn compile(
         input: (usize, usize, usize),
@@ -404,108 +401,25 @@ impl CompiledNetwork {
         if stages.is_empty() {
             return Err(CompileError::EmptyNetwork);
         }
-        let (mut c, mut h, mut w) = input;
-        let mut lowered = Vec::with_capacity(stages.len());
-        let mut next_subarray = 0;
-        for (stage, s) in stages.iter().enumerate() {
-            match s {
-                NetStage::Conv {
-                    weights,
-                    k,
-                    stride,
-                    pad,
-                    activation,
-                } => {
-                    if *k == 0 || *stride == 0 {
-                        return Err(CompileError::BadGeometry {
-                            stage,
-                            reason: "conv kernel and stride must be positive",
-                        });
-                    }
-                    if h + 2 * pad < *k || w + 2 * pad < *k {
-                        return Err(CompileError::BadGeometry {
-                            stage,
-                            reason: "conv kernel larger than padded input",
-                        });
-                    }
-                    if weights.cols() != c * k * k {
-                        return Err(CompileError::ShapeMismatch {
-                            stage,
-                            expected: c * k * k,
-                            got: weights.cols(),
-                        });
-                    }
-                    let (oh, ow) = ops::conv_output_hw(h, w, *k, *k, *stride, *pad);
-                    lowered.push(LoweredStage::Conv {
-                        subarray: next_subarray,
-                        k: *k,
-                        stride: *stride,
-                        pad: *pad,
-                        activation: *activation,
-                        in_c: c,
-                        in_h: h,
-                        in_w: w,
-                        out_c: weights.rows(),
-                        oh,
-                        ow,
-                    });
-                    next_subarray += 1;
-                    c = weights.rows();
-                    h = oh;
-                    w = ow;
-                }
-                NetStage::MaxPool { k, stride } => {
-                    if *k == 0 || *stride == 0 {
-                        return Err(CompileError::BadGeometry {
-                            stage,
-                            reason: "pool window and stride must be positive",
-                        });
-                    }
-                    if h < *k || w < *k {
-                        return Err(CompileError::BadGeometry {
-                            stage,
-                            reason: "pool window larger than input",
-                        });
-                    }
-                    lowered.push(LoweredStage::MaxPool {
-                        k: *k,
-                        stride: *stride,
-                        c,
-                        in_h: h,
-                        in_w: w,
-                    });
-                    h = (h - k) / stride + 1;
-                    w = (w - k) / stride + 1;
-                }
-                NetStage::Fc {
-                    weights,
-                    activation,
-                } => {
-                    if weights.cols() != c * h * w {
-                        return Err(CompileError::ShapeMismatch {
-                            stage,
-                            expected: c * h * w,
-                            got: weights.cols(),
-                        });
-                    }
-                    lowered.push(LoweredStage::Fc {
-                        subarray: next_subarray,
-                        activation: *activation,
-                    });
-                    next_subarray += 1;
-                    c = weights.rows();
-                    h = 1;
-                    w = 1;
-                }
-                NetStage::Act(a) => lowered.push(LoweredStage::Act(*a)),
-            }
+        let mut resolved = Vec::with_capacity(stages.len());
+        let mut shape = input;
+        let mut subarray = 0;
+        for (i, stage) in stages.into_iter().enumerate() {
+            let output = resolve(i, &stage, shape)?;
+            let weighted = matches!(stage, NetStage::Conv { .. } | NetStage::Fc { .. });
+            resolved.push(ResolvedStage {
+                stage,
+                input: shape,
+                output,
+                subarray,
+            });
+            subarray += usize::from(weighted);
+            shape = output;
         }
-        let bank = Bank::new(next_subarray.max(1), 4, config);
+        let bank = Bank::new(subarray.max(1), 4, config);
         Ok(Self {
-            stages,
-            lowered,
+            stages: resolved,
             input_shape: input,
-            output_shape: (c, h, w),
             bank,
             setup_done: false,
         })
@@ -523,17 +437,19 @@ impl CompiledNetwork {
 
     /// Output feature-map shape `(c, h, w)`.
     pub fn output_shape(&self) -> (usize, usize, usize) {
-        self.output_shape
+        self.stages.last().map_or(self.input_shape, |s| s.output)
     }
 
     /// Flattened input length.
     pub fn input_len(&self) -> usize {
-        self.input_shape.0 * self.input_shape.1 * self.input_shape.2
+        let (c, h, w) = self.input_shape();
+        c * h * w
     }
 
     /// Flattened output length.
     pub fn output_len(&self) -> usize {
-        self.output_shape.0 * self.output_shape.1 * self.output_shape.2
+        let (c, h, w) = self.output_shape();
+        c * h * w
     }
 
     /// Bank statistics accumulated so far.
@@ -545,20 +461,18 @@ impl CompiledNetwork {
         if self.setup_done {
             return;
         }
-        let mut subarray = 0;
         for s in &self.stages {
-            let (NetStage::Conv { weights, .. } | NetStage::Fc { weights, .. }) = s else {
+            let (NetStage::Conv { weights, .. } | NetStage::Fc { weights, .. }) = &s.stage else {
                 continue;
             };
             self.bank.execute(Instruction::Program {
-                subarray,
+                subarray: s.subarray,
                 weights: weights.clone(),
             });
             self.bank.execute(Instruction::SetMode {
-                subarray,
+                subarray: s.subarray,
                 mode: SubarrayMode::Compute,
             });
-            subarray += 1;
         }
         self.setup_done = true;
     }
@@ -589,20 +503,15 @@ impl CompiledNetwork {
             data: input.to_vec(),
         });
         let mut cur = 0;
-        for ls in &self.lowered {
-            match ls {
-                LoweredStage::Conv {
-                    subarray,
+        for s in &self.stages {
+            let (in_c, in_h, in_w) = s.input;
+            match &s.stage {
+                NetStage::Conv {
                     k,
                     stride,
                     pad,
                     activation,
-                    in_c,
-                    in_h,
-                    in_w,
-                    out_c,
-                    oh,
-                    ow,
+                    ..
                 } => {
                     // The control unit unrolls the stored feature map into
                     // receptive fields (Fig. 4's 1152×1 input vectors) and
@@ -615,8 +524,9 @@ impl CompiledNetwork {
                         .bank
                         .execute(Instruction::ReadMem { mem: cur })
                         .expect("feature map buffered");
-                    let t = Tensor::from_vec(Shape4::new(1, *in_c, *in_h, *in_w), data);
+                    let t = Tensor::from_vec(Shape4::new(1, in_c, in_h, in_w), data);
                     let patches = ops::im2col(&t, 0, *k, *k, *stride, *pad);
+                    let (out_c, oh, ow) = s.output;
                     let npos = oh * ow;
                     let mut out = vec![0.0f32; out_c * npos];
                     for pos in 0..npos {
@@ -625,7 +535,7 @@ impl CompiledNetwork {
                             data: patches.row(pos).to_vec(),
                         });
                         self.bank.execute(Instruction::Compute {
-                            subarray: *subarray,
+                            subarray: s.subarray,
                             src_mem: 2,
                             dst_mem: 3,
                             activation: *activation,
@@ -646,39 +556,27 @@ impl CompiledNetwork {
                         mem: 1 - cur,
                         data: out,
                     });
-                    cur = 1 - cur;
                 }
-                LoweredStage::MaxPool {
-                    k,
-                    stride,
-                    c,
-                    in_h,
-                    in_w,
-                } => {
+                NetStage::MaxPool { k, stride } => {
                     self.bank.execute(Instruction::MaxPool {
                         src_mem: cur,
                         dst_mem: 1 - cur,
-                        c: *c,
+                        c: in_c,
                         k: *k,
                         stride: *stride,
-                        in_h: *in_h,
-                        in_w: *in_w,
+                        in_h,
+                        in_w,
                     });
-                    cur = 1 - cur;
                 }
-                LoweredStage::Fc {
-                    subarray,
-                    activation,
-                } => {
+                NetStage::Fc { activation, .. } => {
                     self.bank.execute(Instruction::Compute {
-                        subarray: *subarray,
+                        subarray: s.subarray,
                         src_mem: cur,
                         dst_mem: 1 - cur,
                         activation: *activation,
                     });
-                    cur = 1 - cur;
                 }
-                LoweredStage::Act(a) => {
+                NetStage::Act(a) => {
                     #[expect(
                         clippy::expect_used,
                         reason = "ping-pong slot written by the previous stage"
@@ -692,9 +590,9 @@ impl CompiledNetwork {
                     }
                     self.bank
                         .execute(Instruction::LoadMem { mem: 1 - cur, data });
-                    cur = 1 - cur;
                 }
             }
+            cur = 1 - cur;
         }
         self.bank
             .execute(Instruction::ReadMem { mem: cur })
@@ -703,10 +601,10 @@ impl CompiledNetwork {
 
     /// Reference result computed in floating point (no crossbar).
     pub fn forward_exact(&self, input: &[f32]) -> Vec<f32> {
-        let (mut c, mut h, mut w) = self.input_shape;
         let mut x = input.to_vec();
         for s in &self.stages {
-            match s {
+            let (c, h, w) = s.input;
+            match &s.stage {
                 NetStage::Conv {
                     weights,
                     k,
@@ -715,10 +613,9 @@ impl CompiledNetwork {
                     activation,
                 } => {
                     let t = Tensor::from_vec(Shape4::new(1, c, h, w), x);
-                    let (oh, ow) = ops::conv_output_hw(h, w, *k, *k, *stride, *pad);
                     let patches = ops::im2col(&t, 0, *k, *k, *stride, *pad);
+                    let (out_c, oh, ow) = s.output;
                     let npos = oh * ow;
-                    let out_c = weights.rows();
                     let mut out = vec![0.0f32; out_c * npos];
                     for pos in 0..npos {
                         let y = weights.matvec(patches.row(pos));
@@ -727,17 +624,10 @@ impl CompiledNetwork {
                         }
                     }
                     x = out;
-                    c = out_c;
-                    h = oh;
-                    w = ow;
                 }
                 NetStage::MaxPool { k, stride } => {
                     let t = Tensor::from_vec(Shape4::new(1, c, h, w), x);
-                    let (y, _) = ops::max_pool2d(&t, *k, *stride);
-                    let s4 = y.shape();
-                    x = y.data().to_vec();
-                    h = s4.h;
-                    w = s4.w;
+                    x = ops::max_pool2d(&t, *k, *stride).0.into_vec();
                 }
                 NetStage::Fc {
                     weights,
@@ -749,9 +639,6 @@ impl CompiledNetwork {
                             *v = a.apply(*v);
                         }
                     }
-                    c = weights.rows();
-                    h = 1;
-                    w = 1;
                 }
                 NetStage::Act(a) => {
                     for v in &mut x {
@@ -761,6 +648,57 @@ impl CompiledNetwork {
             }
         }
         x
+    }
+}
+
+/// Checks stage `i` against the feature map `(c, h, w)` it receives and
+/// returns the map it produces.
+fn resolve(i: usize, stage: &NetStage, (c, h, w): MapShape) -> Result<MapShape, CompileError> {
+    let bad = |reason| CompileError::BadGeometry { stage: i, reason };
+    let mismatch = |expected, got| CompileError::ShapeMismatch {
+        stage: i,
+        expected,
+        got,
+    };
+    match stage {
+        NetStage::Conv { weights, .. } | NetStage::Fc { weights, .. } if is_empty(weights) => {
+            Err(bad(EMPTY_WEIGHTS))
+        }
+        NetStage::Conv {
+            weights,
+            k,
+            stride,
+            pad,
+            ..
+        } => {
+            if *k == 0 || *stride == 0 {
+                return Err(bad("conv kernel and stride must be positive"));
+            }
+            if h + 2 * pad < *k || w + 2 * pad < *k {
+                return Err(bad("conv kernel larger than padded input"));
+            }
+            if weights.cols() != c * k * k {
+                return Err(mismatch(c * k * k, weights.cols()));
+            }
+            let (oh, ow) = ops::conv_output_hw(h, w, *k, *k, *stride, *pad);
+            Ok((weights.rows(), oh, ow))
+        }
+        NetStage::MaxPool { k, stride } => {
+            if *k == 0 || *stride == 0 {
+                return Err(bad("pool window and stride must be positive"));
+            }
+            if h < *k || w < *k {
+                return Err(bad("pool window larger than input"));
+            }
+            Ok((c, (h - k) / stride + 1, (w - k) / stride + 1))
+        }
+        NetStage::Fc { weights, .. } => {
+            if weights.cols() != c * h * w {
+                return Err(mismatch(c * h * w, weights.cols()));
+            }
+            Ok((weights.rows(), 1, 1))
+        }
+        NetStage::Act(_) => Ok((c, h, w)),
     }
 }
 
@@ -851,6 +789,24 @@ mod tests {
         let err =
             CompiledNetwork::compile((1, 1, 1), vec![], &CrossbarConfig::default()).unwrap_err();
         assert_eq!(err, CompileError::EmptyNetwork);
+        // A weight matrix a grid cannot hold is rejected up front.
+        for w in [
+            Matrix::zeros(Shape2::new(0, 4)),
+            Matrix::zeros(Shape2::new(3, 0)),
+        ] {
+            let err = TrainableMlp::compile(
+                vec![(Matrix::zeros(Shape2::new(4, 4)), true), (w, false)],
+                &CrossbarConfig::default(),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                CompileError::BadGeometry {
+                    stage: 1,
+                    reason: EMPTY_WEIGHTS
+                }
+            );
+        }
     }
 
     fn trainable() -> TrainableMlp {
@@ -1080,5 +1036,34 @@ mod tests {
                 got: 10
             }
         );
+        // Empty weight matrices compile to nothing a grid can hold.
+        let empty = CompileError::BadGeometry {
+            stage: 0,
+            reason: EMPTY_WEIGHTS,
+        };
+        let err = CompiledNetwork::compile(
+            (4, 1, 1),
+            vec![NetStage::Fc {
+                weights: Matrix::zeros(Shape2::new(0, 4)),
+                activation: None,
+            }],
+            &cfg,
+        )
+        .unwrap_err();
+        assert_eq!(err, empty);
+        let err = CompiledNetwork::compile(
+            (2, 3, 3),
+            vec![NetStage::Conv {
+                weights: Matrix::zeros(Shape2::new(0, 18)),
+                k: 3,
+                stride: 1,
+                pad: 0,
+                activation: None,
+            }],
+            &cfg,
+        )
+        .unwrap_err();
+        assert_eq!(err, empty);
+        assert!(err.to_string().contains("no rows or columns"));
     }
 }

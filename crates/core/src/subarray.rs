@@ -10,7 +10,7 @@
 use crate::isa::{Instruction, SubarrayMode};
 use reram_crossbar::{CrossbarConfig, TiledMatrix};
 use reram_telemetry::{self as telemetry, Event};
-use reram_tensor::Matrix;
+use reram_tensor::{ops, Matrix, Shape4, Tensor};
 
 /// A morphable (full-function) ReRAM subarray.
 ///
@@ -65,12 +65,7 @@ impl MorphableSubarray {
 
     /// Programs a weight matrix (compute-mode payload).
     pub fn program(&mut self, weights: &Matrix) {
-        match &mut self.weights {
-            Some(t) if (t.out_dim(), t.in_dim()) == (weights.rows(), weights.cols()) => {
-                t.reprogram(weights);
-            }
-            _ => self.weights = Some(TiledMatrix::program(weights, &self.config)),
-        }
+        program_grid(&mut self.weights, weights, &self.config);
     }
 
     /// Programs a weight matrix *and* its transpose (training mode): the
@@ -78,13 +73,7 @@ impl MorphableSubarray {
     /// for error back-propagation.
     pub fn program_training(&mut self, weights: &Matrix) {
         self.program(weights);
-        let wt = weights.transposed();
-        match &mut self.weights_t {
-            Some(t) if (t.out_dim(), t.in_dim()) == (wt.rows(), wt.cols()) => {
-                t.reprogram(&wt);
-            }
-            _ => self.weights_t = Some(TiledMatrix::program(&wt, &self.config)),
-        }
+        program_grid(&mut self.weights_t, &weights.transposed(), &self.config);
     }
 
     /// Runs the transposed MVM `W^T e` (error back-propagation step).
@@ -157,6 +146,17 @@ impl MorphableSubarray {
             "mem_read issued to a subarray in compute mode"
         );
         &self.stored
+    }
+}
+
+/// Writes `weights` into a subarray's grid in full: reprograms it in place
+/// when the shape matches and programs a new grid otherwise.
+fn program_grid(grid: &mut Option<TiledMatrix>, weights: &Matrix, config: &CrossbarConfig) {
+    match grid {
+        Some(t) if (t.out_dim(), t.in_dim()) == (weights.rows(), weights.cols()) => {
+            t.reprogram(weights);
+        }
+        _ => *grid = Some(TiledMatrix::program(weights, config)),
     }
 }
 
@@ -308,24 +308,8 @@ impl Bank {
                     input.len()
                 );
                 self.stats.mem_traffic += input.len() as u64;
-                let oh = (in_h - k) / stride + 1;
-                let ow = (in_w - k) / stride + 1;
-                let mut out = vec![0.0f32; c * oh * ow];
-                for ci in 0..c {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut best = f32::NEG_INFINITY;
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    let iy = oy * stride + ky;
-                                    let ix = ox * stride + kx;
-                                    best = best.max(input[(ci * in_h + iy) * in_w + ix]);
-                                }
-                            }
-                            out[(ci * oh + oy) * ow + ox] = best;
-                        }
-                    }
-                }
+                let map = Tensor::from_vec(Shape4::new(1, c, in_h, in_w), input);
+                let out = ops::max_pool2d(&map, k, stride).0.into_vec();
                 self.stats.mem_traffic += out.len() as u64;
                 self.memory[dst_mem] = out;
                 None

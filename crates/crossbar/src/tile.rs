@@ -131,58 +131,53 @@ impl TiledMatrix {
         }
         self.reprogram_count += 1;
         telemetry::record(Event::WeightUpdate, 1);
-        let slices = self.config.slices_per_weight();
-        let cell_bits = self.config.cell_bits;
-        let logical_cols = self.config.logical_cols();
-        let rows = self.config.rows;
+        // The walk reads the grid geometry while the sink tunes the arrays.
+        let (mut pos, mut neg) = (std::mem::take(&mut self.pos), std::mem::take(&mut self.neg));
         let mut pulses = 0u64;
-        for rt in 0..self.row_tiles {
-            for ct in 0..self.col_tiles {
-                let idx = rt * self.col_tiles + ct;
-                for r in 0..rows {
-                    let in_idx = rt * rows + r;
-                    if in_idx >= self.in_dim {
-                        break;
-                    }
-                    for j in 0..logical_cols {
-                        let out_idx = ct * logical_cols + j;
-                        if out_idx >= self.out_dim {
-                            break;
-                        }
-                        let q = self.weight_quant.quantize(w.at(out_idx, in_idx));
-                        let (p, n) = differential_split(q);
-                        for (k, &s) in slice_magnitude(p, cell_bits, slices).iter().enumerate() {
-                            let col = j * slices + k;
-                            if self.pos[idx].level_at(r, col) != s {
-                                self.pos[idx].program_cell(r, col, s);
-                                pulses += 1;
-                            }
-                        }
-                        for (k, &s) in slice_magnitude(n, cell_bits, slices).iter().enumerate() {
-                            let col = j * slices + k;
-                            if self.neg[idx].level_at(r, col) != s {
-                                self.neg[idx].program_cell(r, col, s);
-                                pulses += 1;
-                            }
-                        }
-                    }
+        self.for_each_cell(w, |idx, r, col, p, n| {
+            for (array, level) in [(&mut pos[idx], p), (&mut neg[idx], n)] {
+                if array.level_at(r, col) != level {
+                    array.program_cell(r, col, level);
+                    pulses += 1;
                 }
             }
-        }
+        });
+        (self.pos, self.neg) = (pos, neg);
         pulses
     }
 
+    /// Programs every array from `w` in full: mapped cells get their
+    /// levels, every other cell level 0.
     fn write_levels(&mut self, w: &Matrix) {
+        let cells = self.config.rows * self.config.cols;
+        let mut pos_levels = vec![0u32; self.pos.len() * cells];
+        let mut neg_levels = vec![0u32; self.neg.len() * cells];
+        let cols = self.config.cols;
+        self.for_each_cell(w, |idx, r, col, p, n| {
+            pos_levels[idx * cells + r * cols + col] = p;
+            neg_levels[idx * cells + r * cols + col] = n;
+        });
+        let levels = pos_levels.chunks(cells).zip(neg_levels.chunks(cells));
+        for ((pos, neg), (p, n)) in self.pos.iter_mut().zip(&mut self.neg).zip(levels) {
+            pos.program(p);
+            neg.program(n);
+        }
+    }
+
+    /// The one place cell levels come from weights. Quantizes `w` with the
+    /// grid's current scale, splits each weight into its differential pair
+    /// and bit slices, and calls `visit(array, wordline, bitline, pos, neg)`
+    /// for every mapped cell. Arrays come in grid order
+    /// (`rt * col_tiles + ct`) and each array's cells in row-major order —
+    /// the order its device RNG draws programming variation in.
+    fn for_each_cell(&self, w: &Matrix, mut visit: impl FnMut(usize, usize, usize, u32, u32)) {
         let slices = self.config.slices_per_weight();
         let cell_bits = self.config.cell_bits;
         let logical_cols = self.config.logical_cols();
         let rows = self.config.rows;
-        let cols = self.config.cols;
-
         for rt in 0..self.row_tiles {
             for ct in 0..self.col_tiles {
-                let mut pos_levels = vec![0u32; rows * cols];
-                let mut neg_levels = vec![0u32; rows * cols];
+                let idx = rt * self.col_tiles + ct;
                 for r in 0..rows {
                     let in_idx = rt * rows + r;
                     if in_idx >= self.in_dim {
@@ -195,17 +190,13 @@ impl TiledMatrix {
                         }
                         let q = self.weight_quant.quantize(w.at(out_idx, in_idx));
                         let (p, n) = differential_split(q);
-                        for (k, &s) in slice_magnitude(p, cell_bits, slices).iter().enumerate() {
-                            pos_levels[r * cols + j * slices + k] = s;
-                        }
-                        for (k, &s) in slice_magnitude(n, cell_bits, slices).iter().enumerate() {
-                            neg_levels[r * cols + j * slices + k] = s;
+                        let p = slice_magnitude(p, cell_bits, slices);
+                        let n = slice_magnitude(n, cell_bits, slices);
+                        for (k, (&ps, &ns)) in p.iter().zip(&n).enumerate() {
+                            visit(idx, r, j * slices + k, ps, ns);
                         }
                     }
                 }
-                let idx = rt * self.col_tiles + ct;
-                self.pos[idx].program(&pos_levels);
-                self.neg[idx].program(&neg_levels);
             }
         }
     }

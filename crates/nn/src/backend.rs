@@ -21,6 +21,8 @@
 //! accumulation, not an MVM, and uses different hardware). These
 //! substitutions are recorded in DESIGN.md.
 
+use std::borrow::Borrow;
+
 use reram_crossbar::{CrossbarConfig, TiledMatrix};
 use reram_tensor::{ops, Matrix};
 
@@ -55,11 +57,6 @@ pub enum LinearEngine {
         /// Same, for the transposed grid (the two grids are touched by
         /// different passes, so each tracks staleness independently).
         dirty_t: bool,
-        /// Reprogram operations performed by *previous* lives of this
-        /// engine: a clone drops its live grids (they reprogram lazily) but
-        /// carries the count forward so endurance accounting survives the
-        /// clone-heavy training loops.
-        reprograms_prior: u64,
     },
 }
 
@@ -78,7 +75,6 @@ impl LinearEngine {
             backward_on_crossbar: false,
             dirty: true,
             dirty_t: true,
-            reprograms_prior: 0,
         }
     }
 
@@ -92,7 +88,6 @@ impl LinearEngine {
             backward_on_crossbar: true,
             dirty: true,
             dirty_t: true,
-            reprograms_prior: 0,
         }
     }
 
@@ -122,26 +117,11 @@ impl LinearEngine {
         }
     }
 
-    /// Grid reprogramming operations performed by the *live* forward grid
-    /// (resets when the engine is cloned — see [`LinearEngine::reprograms_total`]).
+    /// Grid reprogramming operations performed by the forward grid.
     pub fn reprogram_count(&self) -> u64 {
         match self {
             LinearEngine::Crossbar { tiled: Some(t), .. } => t.reprogram_count(),
             _ => 0,
-        }
-    }
-
-    /// Cumulative forward-grid reprogram operations across the engine's
-    /// whole lineage, *including* lives discarded by [`Clone`]. This is the
-    /// counter endurance accounting should read: cloning a layer (e.g. to
-    /// compare float vs crossbar execution, or to snapshot a model) must not
-    /// silently erase wear already inflicted on the cells.
-    pub fn reprograms_total(&self) -> u64 {
-        match self {
-            LinearEngine::Crossbar {
-                reprograms_prior, ..
-            } => reprograms_prior + self.reprogram_count(),
-            LinearEngine::Float => 0,
         }
     }
 
@@ -160,25 +140,7 @@ impl LinearEngine {
                 dirty,
                 ..
             } => {
-                match tiled {
-                    Some(t) if *dirty => {
-                        // Weight update: tune only the changed cells, as the
-                        // write driver does in hardware.
-                        t.reprogram_delta(w);
-                        *dirty = false;
-                    }
-                    Some(_) => {}
-                    None => {
-                        *tiled = Some(TiledMatrix::program(w, config));
-                        *dirty = false;
-                    }
-                }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the branch above just populated the grid"
-                )]
-                let t = tiled.as_mut().expect("grid just programmed");
-                let mut y = t.matmul_rows(x);
+                let mut y = sync_grid(tiled, dirty, config, || w).matmul_rows(x);
                 if let Some(b) = bias {
                     assert_eq!(b.len(), w.rows(), "bias length vs out features");
                     for r in 0..y.rows() {
@@ -203,10 +165,6 @@ impl LinearEngine {
     /// # Panics
     ///
     /// Panics if the dimensions are inconsistent.
-    #[expect(
-        clippy::expect_used,
-        reason = "the branch above just populated the grid"
-    )]
     pub fn matmul_backward(&mut self, g: &Matrix, w: &Matrix) -> Matrix {
         match self {
             LinearEngine::Crossbar {
@@ -215,55 +173,31 @@ impl LinearEngine {
                 backward_on_crossbar: true,
                 dirty_t,
                 ..
-            } => {
-                match tiled_t {
-                    Some(t) if *dirty_t => {
-                        t.reprogram_delta(&w.transposed());
-                        *dirty_t = false;
-                    }
-                    Some(_) => {}
-                    None => {
-                        *tiled_t = Some(TiledMatrix::program(&w.transposed(), config));
-                        *dirty_t = false;
-                    }
-                }
-                tiled_t
-                    .as_mut()
-                    .expect("transposed grid just programmed")
-                    .matmul_rows(g)
-            }
+            } => sync_grid(tiled_t, dirty_t, config, || w.transposed()).matmul_rows(g),
             _ => ops::linear_backward_input(g, w),
         }
     }
 }
 
-impl Clone for LinearEngine {
-    /// Cloning resets *live* crossbar state (the clone reprograms lazily);
-    /// the configuration and backward mode are preserved, and the
-    /// cumulative reprogram count carries over so
-    /// [`LinearEngine::reprograms_total`] is monotone across clones.
-    fn clone(&self) -> Self {
-        match self {
-            LinearEngine::Float => LinearEngine::Float,
-            LinearEngine::Crossbar {
-                config,
-                backward_on_crossbar,
-                ..
-            } => {
-                let mut clone = if *backward_on_crossbar {
-                    LinearEngine::crossbar_full(config.clone())
-                } else {
-                    LinearEngine::crossbar(config.clone())
-                };
-                if let LinearEngine::Crossbar {
-                    reprograms_prior, ..
-                } = &mut clone
-                {
-                    *reprograms_prior = self.reprograms_total();
-                }
-                clone
+/// Brings a grid in line with the layer's weights before a product:
+/// programs it on first use and, after a weight update, tunes only the
+/// changed cells, as the write driver does in hardware. `weights` is called
+/// only when the grid is written, so the transposed copy is built only then.
+fn sync_grid<'g, M: Borrow<Matrix>>(
+    grid: &'g mut Option<TiledMatrix>,
+    dirty: &mut bool,
+    config: &CrossbarConfig,
+    weights: impl FnOnce() -> M,
+) -> &'g mut TiledMatrix {
+    let stale = std::mem::replace(dirty, false);
+    match grid {
+        Some(t) => {
+            if stale {
+                t.reprogram_delta(weights().borrow());
             }
+            t
         }
+        None => grid.insert(TiledMatrix::program(weights().borrow(), config)),
     }
 }
 
@@ -334,44 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn clone_preserves_kind() {
-        let e = LinearEngine::crossbar(CrossbarConfig::default());
-        assert!(e.clone().is_crossbar());
-        assert!(!LinearEngine::float().clone().is_crossbar());
-    }
-
-    #[test]
-    fn clone_carries_cumulative_reprogram_count() {
-        let mut e = LinearEngine::crossbar(CrossbarConfig::default());
-        let _ = e.matmul(&x(), &w(), None);
-        e.invalidate();
-        let mut w2 = w();
-        w2.set(0, 0, 3.0);
-        let _ = e.matmul(&x(), &w2, None);
-        assert_eq!(e.reprogram_count(), 1);
-        assert_eq!(e.reprograms_total(), 1);
-
-        let mut c = e.clone();
-        // Live count resets (the clone has no programmed grid yet) but the
-        // cumulative total survives.
-        assert_eq!(c.reprogram_count(), 0);
-        assert_eq!(c.reprograms_total(), 1);
-
-        // Wear inflicted by the clone accumulates on top.
-        let _ = c.matmul(&x(), &w2, None);
-        c.invalidate();
-        let mut w3 = w2.clone();
-        w3.set(1, 1, -2.0);
-        let _ = c.matmul(&x(), &w3, None);
-        assert_eq!(c.reprogram_count(), 1);
-        assert_eq!(c.reprograms_total(), 2);
-
-        // A second-generation clone still sees the whole lineage.
-        assert_eq!(c.clone().reprograms_total(), 2);
-        assert_eq!(LinearEngine::float().reprograms_total(), 0);
-    }
-
-    #[test]
     fn backward_on_crossbar_close_to_float() {
         let mut full = LinearEngine::crossbar_full(CrossbarConfig::default());
         let g = Matrix::from_fn(Shape2::new(3, 6), |r, c| {
@@ -418,16 +314,5 @@ mod tests {
         for (a, b) in b1.data().iter().zip(b2.data()) {
             assert!((2.0 * a - b).abs() < 0.05, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn clone_preserves_backward_mode() {
-        let e = LinearEngine::crossbar_full(CrossbarConfig::default());
-        let mut c = e.clone();
-        // The clone still routes backward through crossbars: programming a
-        // grid on first use gives a non-zero array count afterwards.
-        let g = Matrix::from_fn(Shape2::new(1, 6), |_, _| 0.5);
-        let _ = c.matmul_backward(&g, &w());
-        assert!(c.array_count() > 0);
     }
 }

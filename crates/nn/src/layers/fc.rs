@@ -10,7 +10,7 @@ use reram_tensor::{init, ops, Matrix, Shape2, Shape4, Tensor};
 /// Activations flow as tensors shaped `(n, features, 1, 1)`; the layer
 /// flattens whatever spatial extent its input carries, matching the paper's
 /// "the values in data tube of `l` are considered as a vector".
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Linear {
     weight: Matrix, // (out, in)
     bias: Vec<f32>,
@@ -244,12 +244,10 @@ mod tests {
 
     #[test]
     fn crossbar_engine_close_to_float() {
-        let mut rng = seeded_rng(4);
-        let fc = Linear::new(20, 6, &mut rng);
-        let mut cb = fc
-            .clone()
+        // Same seed, same weights: one float copy, one crossbar copy.
+        let mut fl = Linear::new(20, 6, &mut seeded_rng(4));
+        let mut cb = Linear::new(20, 6, &mut seeded_rng(4))
             .with_engine(LinearEngine::crossbar(CrossbarConfig::default()));
-        let mut fl = fc;
         let x = Tensor::from_fn(Shape4::new(2, 20, 1, 1), |n, c, _, _| {
             ((n + c) % 11) as f32 / 11.0 - 0.4
         });
