@@ -7,6 +7,7 @@ use reram_core::{
     AcceleratorConfig, BankShape, ChipPlan, EnduranceClass, EnduranceReport, ExecutionPlan,
     PipeLayerAccelerator, PipelineModel, ReplicationPolicy,
 };
+use reram_crossbar::units::Joules;
 use reram_crossbar::{CrossbarConfig, TiledMatrix};
 use reram_nn::models;
 use reram_tensor::{Matrix, Shape2};
@@ -80,7 +81,7 @@ pub fn array_size() -> Table {
             format!("{size}x{size}"),
             r.arrays.to_string(),
             format!("{:.1} mm2", r.area_mm2),
-            crate::table::seconds(r.time_s),
+            crate::table::seconds(r.time_s.0),
         ]);
     }
     t
@@ -116,7 +117,7 @@ pub fn replication_budget() -> Table {
         t.row([
             budget.to_string(),
             r.arrays.to_string(),
-            crate::table::seconds(r.time_s),
+            crate::table::seconds(r.time_s.0),
             format!("{:.1} mm2", r.area_mm2),
         ]);
     }
@@ -134,7 +135,7 @@ pub fn endurance() -> Table {
             EnduranceClass::Typical,
             EnduranceClass::Optimistic,
         ] {
-            let s = r.lifetime_s(class);
+            let s = r.lifetime_s(class).0;
             let human = if s < 3600.0 {
                 format!("{:.1} min", s / 60.0)
             } else if s < 48.0 * 3600.0 {
@@ -209,14 +210,14 @@ pub fn energy_breakdown() -> Table {
         let plan = ExecutionPlan::lower(&net, &AcceleratorConfig::default())
             .expect("zoo network lowers under default config");
         let b = plan.training_energy_breakdown(512, 16);
-        let pct = |x: f64| format!("{:.1}%", 100.0 * x / b.total_j());
+        let pct = |x: Joules| format!("{:.1}%", 100.0 * x / b.total_j());
         t.row([
             net.name.clone(),
             pct(b.forward_j),
             pct(b.backward_j),
             pct(b.buffer_j),
             pct(b.update_j),
-            crate::table::joules(b.total_j()),
+            crate::table::joules(b.total_j().0),
         ]);
     }
     t

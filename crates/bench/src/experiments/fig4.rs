@@ -68,7 +68,7 @@ pub fn run() -> Table {
         "1 x 1 (logical)".to_string(),
         naive.arrays.to_string(),
         naive.steps_per_input.to_string(),
-        crate::table::seconds(naive.stage_latency_ns() * 1e-9),
+        crate::table::seconds(naive.stage_latency_ns().to_seconds().0),
     ]);
     for x in REPLICATIONS {
         let m = measure(x);
@@ -78,7 +78,7 @@ pub fn run() -> Table {
             format!("{} x {}", m.row_tiles, m.col_tiles),
             m.arrays.to_string(),
             m.steps_per_input.to_string(),
-            crate::table::seconds(m.stage_latency_ns() * 1e-9),
+            crate::table::seconds(m.stage_latency_ns().to_seconds().0),
         ]);
     }
     t

@@ -68,8 +68,8 @@ pub fn run() -> Table {
                 name.to_string(),
                 opt.name().to_string(),
                 (r.cycles / 100).to_string(),
-                crate::table::seconds(r.time_s),
-                crate::table::joules(r.energy_j),
+                crate::table::seconds(r.time_s.0),
+                crate::table::joules(r.energy_j.0),
                 r.arrays.to_string(),
                 crate::table::ratio(base_time / r.time_s),
             ]);

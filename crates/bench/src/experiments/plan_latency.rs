@@ -44,16 +44,16 @@ pub fn measure() -> Vec<PlanLatencyRow> {
         mode: "inference",
         batch: 1,
         inputs: 1024,
-        uniform_s: accel.inference_cost(&net, 1024).time_s,
-        per_layer_s: accel.inference_time_per_layer_s(&net, 1024),
+        uniform_s: accel.inference_cost(&net, 1024).time_s.0,
+        per_layer_s: accel.inference_time_per_layer_s(&net, 1024).0,
     }];
     for (batch, n) in TRAIN_CONFIGS {
         rows.push(PlanLatencyRow {
             mode: "training",
             batch,
             inputs: n,
-            uniform_s: accel.train_cost(&net, batch, n).time_s,
-            per_layer_s: accel.train_time_per_layer_s(&net, batch, n),
+            uniform_s: accel.train_cost(&net, batch, n).time_s.0,
+            per_layer_s: accel.train_time_per_layer_s(&net, batch, n).0,
         });
     }
     rows

@@ -47,7 +47,7 @@ pub fn pipelayer_row(net: &NetworkSpec, batch: usize, n: u64) -> ComparisonRow {
         .times(n as f64 / batch as f64);
     ComparisonRow {
         workload: net.name.clone(),
-        accel_time_s: r.time_s,
+        accel_time_s: r.time_s.0,
         gpu_time_s: gpu.time_s,
         speedup: r.speedup_vs(&gpu),
         energy_saving: r.energy_saving_vs(&gpu),
@@ -71,7 +71,7 @@ pub fn regan_row(
         .times(iters as f64);
     ComparisonRow {
         workload: format!("DCGAN/{name}"),
-        accel_time_s: r.time_s,
+        accel_time_s: r.time_s.0,
         gpu_time_s: gpu.time_s,
         speedup: r.speedup_vs(&gpu),
         energy_saving: r.energy_saving_vs(&gpu),

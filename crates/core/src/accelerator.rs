@@ -11,6 +11,7 @@ use crate::pipeline::PipelineModel;
 use crate::plan::{ExecutionPlan, PlanError};
 use crate::regan::{ReganOpt, ReganPipeline};
 use crate::AcceleratorConfig;
+use reram_crossbar::units::{Joules, Mm2, Pj, Seconds, Watts};
 use reram_gpu::GpuCost;
 use reram_nn::NetworkSpec;
 use reram_telemetry::Span;
@@ -24,29 +25,29 @@ pub struct AccelReport {
     /// Pipeline macro-cycles executed.
     pub cycles: u64,
     /// Wall-clock time, seconds.
-    pub time_s: f64,
+    pub time_s: Seconds,
     /// Energy, joules.
-    pub energy_j: f64,
+    pub energy_j: Joules,
     /// Physical crossbar arrays provisioned.
     pub arrays: usize,
     /// Silicon area, mm².
-    pub area_mm2: f64,
+    pub area_mm2: Mm2,
 }
 
 impl AccelReport {
     /// Average power drawn over the run, watts.
-    pub fn average_power_w(&self) -> f64 {
+    pub fn average_power_w(&self) -> Watts {
         self.energy_j / self.time_s
     }
 
     /// Speedup of this accelerator run over a GPU run of the same workload.
     pub fn speedup_vs(&self, gpu: &GpuCost) -> f64 {
-        gpu.time_s / self.time_s
+        gpu.time_s / self.time_s.0
     }
 
     /// Energy saving of this accelerator run over a GPU run.
     pub fn energy_saving_vs(&self, gpu: &GpuCost) -> f64 {
-        gpu.energy_j / self.energy_j
+        gpu.energy_j / self.energy_j.0
     }
 }
 
@@ -174,7 +175,7 @@ impl PipeLayerAccelerator {
     ///
     /// Panics if `n` is not a positive multiple of `batch` or the network
     /// cannot be lowered.
-    pub fn train_time_per_layer_s(&self, net: &NetworkSpec, batch: usize, n: u64) -> f64 {
+    pub fn train_time_per_layer_s(&self, net: &NetworkSpec, batch: usize, n: u64) -> Seconds {
         self.plan_or_panic(net).pipelined_training_time_s(n, batch)
     }
 
@@ -184,7 +185,7 @@ impl PipeLayerAccelerator {
     /// # Panics
     ///
     /// Panics if `n == 0` or the network cannot be lowered.
-    pub fn inference_time_per_layer_s(&self, net: &NetworkSpec, n: u64) -> f64 {
+    pub fn inference_time_per_layer_s(&self, net: &NetworkSpec, n: u64) -> Seconds {
         self.plan_or_panic(net).pipelined_inference_time_s(n)
     }
 }
@@ -256,7 +257,8 @@ impl ReGanAccelerator {
         let compute_cycles = cycles.saturating_sub(update_cycles);
         let cycle_ns = g_plan.training_cycle_ns.max(d_plan.training_cycle_ns);
         let update_ns = g_plan.update_cycle_ns.max(d_plan.update_cycle_ns);
-        let time_s = (compute_cycles as f64 * cycle_ns + update_cycles as f64 * update_ns) * 1e-9;
+        let time_s =
+            (compute_cycles as f64 * cycle_ns + update_cycles as f64 * update_ns).to_seconds();
 
         // Energy per iteration, in crossbar passes over B inputs each:
         // ① D fwd + D bwd, ② G fwd + D fwd + D bwd, ③ G fwd + D fwd +
@@ -267,7 +269,7 @@ impl ReGanAccelerator {
         let shared_saving = if self.opt == ReganOpt::PipelineSpCs {
             g_fwd + d_plan.forward_energy_pj()
         } else {
-            0.0
+            Pj::ZERO
         };
         let per_input = (d_pass) // ①
             + (g_fwd + d_pass) // ②
@@ -277,7 +279,7 @@ impl ReGanAccelerator {
             + g_plan.buffer_energy_pj;
         let d_copies = pipe.discriminator_copies(self.opt) as f64;
         let update = d_plan.update_energy_pj() * d_copies + g_plan.update_energy_pj();
-        let energy_j = (iterations as f64 * (b * per_input + update)) * 1e-12;
+        let energy_j = (iterations as f64 * (b * per_input + update)).to_joules();
 
         let arrays =
             d_plan.total_arrays * pipe.discriminator_copies(self.opt) + g_plan.total_arrays;
@@ -292,7 +294,7 @@ impl ReGanAccelerator {
             time_s,
             energy_j,
             arrays,
-            area_mm2: self.config.cost.grid_area_um2(arrays) / 1e6,
+            area_mm2: self.config.cost.grid_area_um2(arrays).to_mm2(),
         }
     }
 }
@@ -312,8 +314,8 @@ mod tests {
         let net = models::lenet_spec();
         let r = accel().train_cost(&net, 32, 1024);
         assert_eq!(r.cycles, (1024 / 32) * (2 * 5 + 32 + 1));
-        assert!(r.time_s > 0.0 && r.energy_j > 0.0);
-        assert!(r.arrays > 0 && r.area_mm2 > 0.0);
+        assert!(r.time_s > Seconds::ZERO && r.energy_j > Joules::ZERO);
+        assert!(r.arrays > 0 && r.area_mm2 > Mm2::ZERO);
     }
 
     #[test]
@@ -355,7 +357,7 @@ mod tests {
         // idle and draw far less.
         let big = accel().train_cost(&models::vgg_a_spec(), 32, 128);
         assert!(
-            (10.0..2000.0).contains(&big.average_power_w()),
+            (Watts(10.0)..Watts(2000.0)).contains(&big.average_power_w()),
             "{} W",
             big.average_power_w()
         );
@@ -385,7 +387,7 @@ mod tests {
         let plan = a.plan(&net).expect("lowerable");
         let n = 1024;
         let want =
-            n as f64 * (plan.forward_energy_pj() + plan.inference_buffer_energy_pj()) * 1e-12;
+            (n as f64 * (plan.forward_energy_pj() + plan.inference_buffer_energy_pj())).to_joules();
         assert_eq!(a.inference_cost(&net, n).energy_j, want);
     }
 
@@ -394,7 +396,7 @@ mod tests {
         let g = models::dcgan_generator_spec(100, 3, 32);
         let d = models::dcgan_discriminator_spec(3, 32);
         let cfg = AcceleratorConfig::default();
-        let mut prev = f64::INFINITY;
+        let mut prev = Seconds(f64::INFINITY);
         for opt in ReganOpt::ALL {
             let r = ReGanAccelerator::new(cfg.clone(), opt).train_cost(&g, &d, 32, 100);
             assert!(

@@ -8,8 +8,9 @@
 //! backward stage consumes them, so the memory region must hold roughly one
 //! activation tensor per stage per in-flight input.
 
-use crate::plan::{ExecutionPlan, PlanError};
+use crate::plan::{ExecutionPlan, PlanError, BYTES_PER_ELEM};
 use crate::AcceleratorConfig;
+use reram_crossbar::units::{Mm2, Watts};
 use reram_nn::NetworkSpec;
 use serde::{Deserialize, Serialize};
 
@@ -23,7 +24,8 @@ use serde::{Deserialize, Serialize};
 pub enum ChipPlanError {
     /// The requested training batch size was zero.
     ZeroBatch,
-    /// The bank shape has no morphable or no memory subarrays.
+    /// The bank shape has no morphable or no memory subarrays, or its
+    /// memory subarrays hold zero bytes.
     EmptyBank,
     /// The network could not be lowered to an execution plan (invalid
     /// configuration, no weighted layers, or unmappable under the
@@ -89,13 +91,10 @@ pub struct ChipPlan {
     /// Memory-subarray bytes available across the provisioned banks.
     pub memory_capacity_bytes: u64,
     /// Crossbar array area, mm².
-    pub array_area_mm2: f64,
+    pub array_area_mm2: Mm2,
     /// Peak power while training at full throughput, watts.
-    pub peak_power_w: f64,
+    pub peak_power_w: Watts,
 }
-
-/// Bytes per stored activation element (16-bit fixed point).
-const BYTES_PER_ELEM: u64 = 2;
 
 impl ChipPlan {
     /// Plans a chip for training `net` at batch size `batch`.
@@ -103,7 +102,8 @@ impl ChipPlan {
     /// # Errors
     ///
     /// Returns [`ChipPlanError::ZeroBatch`] when `batch == 0`,
-    /// [`ChipPlanError::EmptyBank`] for a bank shape without subarrays, and
+    /// [`ChipPlanError::EmptyBank`] for a bank shape without subarrays or
+    /// with zero-byte memory subarrays, and
     /// [`ChipPlanError::Plan`] when the network cannot be lowered to an
     /// [`ExecutionPlan`].
     #[must_use = "the bank placement is the result"]
@@ -116,7 +116,10 @@ impl ChipPlan {
         if batch == 0 {
             return Err(ChipPlanError::ZeroBatch);
         }
-        if bank.morphable_per_bank == 0 || bank.memory_per_bank == 0 {
+        if bank.morphable_per_bank == 0
+            || bank.memory_per_bank == 0
+            || bank.memory_subarray_bytes == 0
+        {
             return Err(ChipPlanError::EmptyBank);
         }
         let plan = ExecutionPlan::lower(net, config)?;
@@ -137,7 +140,7 @@ impl ChipPlan {
 
         // Peak power: every array active, amortized per MVM.
         let mvm = config.cost.mvm_cost(&config.crossbar, config.activity);
-        let per_array_w = mvm.energy_pj() * 1e-12 / (mvm.latency_ns * 1e-9);
+        let per_array_w = mvm.energy_pj().to_joules() / mvm.latency_ns.to_seconds();
         Ok(Self {
             network: net.name.clone(),
             bank,
@@ -209,7 +212,7 @@ mod tests {
         let p = plan(&models::vgg_a_spec(), 32);
         assert!(p.banks > 100, "VGG banks {}", p.banks);
         assert!(p.compute_arrays > 100_000);
-        assert!(p.peak_power_w > 10.0);
+        assert!(p.peak_power_w > Watts(10.0));
     }
 
     #[test]
@@ -261,18 +264,25 @@ mod tests {
 
     #[test]
     fn rejects_empty_bank() {
-        let bank = BankShape {
-            morphable_per_bank: 0,
-            ..BankShape::default()
-        };
-        let err = ChipPlan::plan(
-            &models::lenet_spec(),
-            &AcceleratorConfig::default(),
-            bank,
-            8,
-        )
-        .unwrap_err();
-        assert_eq!(err, ChipPlanError::EmptyBank);
+        for bank in [
+            BankShape {
+                morphable_per_bank: 0,
+                ..BankShape::default()
+            },
+            BankShape {
+                memory_subarray_bytes: 0,
+                ..BankShape::default()
+            },
+        ] {
+            let err = ChipPlan::plan(
+                &models::lenet_spec(),
+                &AcceleratorConfig::default(),
+                bank,
+                8,
+            )
+            .unwrap_err();
+            assert_eq!(err, ChipPlanError::EmptyBank, "{bank:?}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::plan::ExecutionPlan;
 use crate::AcceleratorConfig;
+use reram_crossbar::units::Seconds;
 use reram_nn::NetworkSpec;
 use serde::{Deserialize, Serialize};
 
@@ -55,7 +56,7 @@ pub struct EnduranceReport {
     pub batches_to_wearout: [u64; 3],
     /// Wall-clock training time until wear-out at the *typical* limit,
     /// seconds (using the analyzed batch cadence).
-    pub typical_lifetime_s: f64,
+    pub typical_lifetime_s: Seconds,
 }
 
 impl EnduranceReport {
@@ -94,7 +95,7 @@ impl EnduranceReport {
 
     /// Training time until wear-out for a given endurance class, seconds,
     /// assuming the analyzed batch cadence.
-    pub fn lifetime_s(&self, class: EnduranceClass) -> f64 {
+    pub fn lifetime_s(&self, class: EnduranceClass) -> Seconds {
         self.typical_lifetime_s * class.write_limit() as f64
             / EnduranceClass::Typical.write_limit() as f64
     }
@@ -139,7 +140,7 @@ mod tests {
         // *back-to-back* training — real deployments train intermittently
         // or need optimistic-class cells, which survive months to years.
         let r = report();
-        let hour = 3600.0;
+        let hour = Seconds(3600.0);
         let typical = r.lifetime_s(EnduranceClass::Typical);
         assert!(
             (hour..100.0 * hour).contains(&typical),

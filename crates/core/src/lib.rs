@@ -23,8 +23,7 @@
 //!   wall-clock time and energy,
 //! * [`verify`] — a static checker over lowered plans: conservation laws,
 //!   feasibility (budgets, replication, queueing stability) and
-//!   metamorphic monotonicity checks, surfaced as typed [`Violation`]s
-//!   through `reram-lint --plans`,
+//!   metamorphic monotonicity checks, reported as typed [`Violation`]s,
 //! * [`regan`] — the GAN training pipeline of Fig. 8 with the spatial
 //!   parallelism (SP) and computation sharing (CS) optimizations of Fig. 9,
 //! * [`accelerator`] — end-to-end evaluation producing the speedup /
@@ -42,7 +41,7 @@
 //! let accel = PipeLayerAccelerator::new(AcceleratorConfig::default());
 //! let report = accel.train_cost(&net, 32, 1024);
 //! let gpu = GpuModel::gtx1080().training_cost(&net, 32).times(1024.0 / 32.0);
-//! assert!(report.time_s < gpu.time_s, "PIM must beat the GPU on training");
+//! assert!(report.time_s.0 < gpu.time_s, "PIM must beat the GPU on training");
 //! ```
 
 #![warn(missing_docs)]
@@ -77,3 +76,6 @@ pub use plan::{ExecutionPlan, LayerPlan, PlanError};
 pub use regan::{ReganOpt, ReganPipeline};
 pub use report::{build_run_report, layer_reports};
 pub use verify::{verify_lowering, verify_plan, verify_serve, ServeShape, Violation, ZooFinding};
+
+/// The dimensioned quantities every cost in this crate is priced in.
+pub use reram_crossbar::units;

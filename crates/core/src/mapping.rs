@@ -14,6 +14,7 @@
 use std::fmt;
 
 use crate::AcceleratorConfig;
+use reram_crossbar::units::{Ns, Pj};
 use reram_nn::{LayerSpec, NetworkSpec};
 use serde::{Deserialize, Serialize};
 
@@ -129,9 +130,9 @@ pub struct LayerMapping {
     /// `ceil(mvms_per_input / replication)`.
     pub steps_per_input: usize,
     /// Latency of one step (one grid MVM), ns.
-    pub step_latency_ns: f64,
+    pub step_latency_ns: Ns,
     /// Energy of one MVM through the grid, pJ.
-    pub mvm_energy_pj: f64,
+    pub mvm_energy_pj: Pj,
 }
 
 impl LayerMapping {
@@ -219,7 +220,7 @@ impl LayerMapping {
     }
 
     /// Time to push one input example through this layer stage, ns.
-    pub fn stage_latency_ns(&self) -> f64 {
+    pub fn stage_latency_ns(&self) -> Ns {
         self.steps_per_input as f64 * self.step_latency_ns
     }
 
@@ -227,7 +228,7 @@ impl LayerMapping {
     ///
     /// Replication does not change per-input energy: the same total number
     /// of MVMs happens, just spread over more arrays.
-    pub fn forward_energy_pj(&self) -> f64 {
+    pub fn forward_energy_pj(&self) -> Pj {
         self.mvms_per_input as f64 * self.mvm_energy_pj
     }
 }
@@ -392,7 +393,7 @@ mod tests {
     #[test]
     fn replication_trades_arrays_for_latency() {
         let cfg = fig4_config();
-        let mut prev_latency = f64::INFINITY;
+        let mut prev_latency = Ns(f64::INFINITY);
         let mut prev_arrays = 0;
         for x in [1usize, 4, 16, 64, 256] {
             let m = LayerMapping::map(

@@ -2,12 +2,14 @@
 
 use crate::mapping::LayerMapping;
 use crate::AcceleratorConfig;
+use reram_crossbar::units::{Ns, Pj};
 use reram_nn::{LayerKind, LayerWork};
 use serde::{Deserialize, Serialize};
 
-/// Bytes per activation element moving through memory subarrays (16-bit
-/// fixed point, matching the default crossbar input precision).
-pub const BYTES_PER_ELEM: f64 = 2.0;
+/// Bytes per activation element moving through memory subarrays or held
+/// resident in them (16-bit fixed point, matching the default crossbar
+/// input precision).
+pub const BYTES_PER_ELEM: u64 = 2;
 
 /// Closed-form I&F/ADC conversions of one forward input through a mapped
 /// layer.
@@ -56,15 +58,15 @@ pub struct LayerPlan {
     /// sequential MVM steps per input).
     pub stage_cycles: u64,
     /// Wall-clock latency of the forward stage, ns.
-    pub forward_latency_ns: f64,
+    pub forward_latency_ns: Ns,
     /// Wall-clock latency of the backward stage (error + gradient), ns.
-    pub backward_latency_ns: f64,
+    pub backward_latency_ns: Ns,
     /// Crossbar energy of one input's forward pass, pJ.
-    pub forward_energy_pj: f64,
+    pub forward_energy_pj: Pj,
     /// Crossbar energy of one input's backward pass, pJ.
-    pub backward_energy_pj: f64,
+    pub backward_energy_pj: Pj,
     /// Energy to reprogram this layer's arrays once, pJ.
-    pub update_energy_pj: f64,
+    pub update_energy_pj: Pj,
     /// Bytes written to memory subarrays per input (the layer's output
     /// tensor, stored once).
     pub buffer_write_bytes: f64,
@@ -99,7 +101,7 @@ impl LayerPlan {
         let (_, program_energy_per_array) = config.cost.program_cost(&config.crossbar);
         let forward_latency_ns = mapping.stage_latency_ns();
         let forward_energy_pj = mapping.forward_energy_pj();
-        let out_bytes = work.output_elems as f64 * BYTES_PER_ELEM;
+        let out_bytes = work.output_elems as f64 * BYTES_PER_ELEM as f64;
         Self {
             name: format!("{}{}", Self::kind_str(work.kind), index + 1),
             forward_mvms: mapping.mvms_per_input as u64,

@@ -27,6 +27,7 @@ pub use layer::{adc_conversions, cell_writes, LayerPlan, BYTES_PER_ELEM};
 
 use crate::mapping::{map_network, MappingError};
 use crate::AcceleratorConfig;
+use reram_crossbar::units::{Joules, Mm2, Ns, Pj, Seconds};
 use reram_nn::{LayerWork, NetworkSpec};
 use serde::{Deserialize, Serialize};
 
@@ -63,18 +64,18 @@ impl From<MappingError> for PlanError {
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct EnergyBreakdown {
     /// Forward-pass crossbar MVMs, joules.
-    pub forward_j: f64,
+    pub forward_j: Joules,
     /// Backward-pass crossbar MVMs (error + weight-gradient), joules.
-    pub backward_j: f64,
+    pub backward_j: Joules,
     /// Memory/buffer subarray traffic, joules.
-    pub buffer_j: f64,
+    pub buffer_j: Joules,
     /// Weight-array reprogramming, joules.
-    pub update_j: f64,
+    pub update_j: Joules,
 }
 
 impl EnergyBreakdown {
     /// Total energy, joules.
-    pub fn total_j(&self) -> f64 {
+    pub fn total_j(&self) -> Joules {
         self.forward_j + self.backward_j + self.buffer_j + self.update_j
     }
 }
@@ -91,18 +92,18 @@ pub struct ExecutionPlan {
     /// Per-weighted-layer lowering records, in network order.
     pub layers: Vec<LayerPlan>,
     /// Duration of a forward-only pipeline macro-cycle, ns (slowest stage).
-    pub forward_cycle_ns: f64,
+    pub forward_cycle_ns: Ns,
     /// Duration of a training pipeline macro-cycle, ns (backward stages
     /// dominate at twice the forward latency).
-    pub training_cycle_ns: f64,
+    pub training_cycle_ns: Ns,
     /// Duration of the weight-update cycle, ns.
-    pub update_cycle_ns: f64,
+    pub update_cycle_ns: Ns,
     /// Buffer/memory-subarray energy per input (training), pJ.
-    pub buffer_energy_pj: f64,
+    pub buffer_energy_pj: Pj,
     /// Total physical arrays (including replication and differential pairs).
     pub total_arrays: usize,
     /// Total silicon area, mm².
-    pub area_mm2: f64,
+    pub area_mm2: Mm2,
 }
 
 impl ExecutionPlan {
@@ -132,7 +133,7 @@ impl ExecutionPlan {
         let forward_cycle_ns = layers
             .iter()
             .map(|l| l.forward_latency_ns)
-            .fold(0.0, f64::max);
+            .fold(Ns::ZERO, Ns::max);
         let (update_cycle_ns, _) = config.cost.program_cost(&config.crossbar);
 
         // Buffer traffic per input during training: every weighted layer's
@@ -141,7 +142,7 @@ impl ExecutionPlan {
         let activation_elems: f64 = layers.iter().map(|l| l.work.output_elems as f64).sum();
         let buffer_energy_pj = config
             .cost
-            .buffer_energy_pj((activation_elems * BYTES_PER_ELEM * 3.0) as u64);
+            .buffer_energy_pj((activation_elems * BYTES_PER_ELEM as f64 * 3.0) as u64);
 
         let total_arrays: usize = layers.iter().map(|l| l.mapping.arrays).sum();
 
@@ -154,7 +155,7 @@ impl ExecutionPlan {
             update_cycle_ns,
             buffer_energy_pj,
             total_arrays,
-            area_mm2: config.cost.grid_area_um2(total_arrays) / 1e6,
+            area_mm2: config.cost.grid_area_um2(total_arrays).to_mm2(),
         };
         // Every lowering re-verifies its own output in debug builds; the
         // static checks are pure closed-form recomputation, cheap relative
@@ -177,17 +178,17 @@ impl ExecutionPlan {
     }
 
     /// Crossbar energy of one input's forward pass, pJ (sum over layers).
-    pub fn forward_energy_pj(&self) -> f64 {
+    pub fn forward_energy_pj(&self) -> Pj {
         self.layers.iter().map(|l| l.forward_energy_pj).sum()
     }
 
     /// Crossbar energy of one input's backward pass, pJ.
-    pub fn backward_energy_pj(&self) -> f64 {
+    pub fn backward_energy_pj(&self) -> Pj {
         self.layers.iter().map(|l| l.backward_energy_pj).sum()
     }
 
     /// Energy to reprogram every weight array once, pJ.
-    pub fn update_energy_pj(&self) -> f64 {
+    pub fn update_energy_pj(&self) -> Pj {
         self.layers.iter().map(|l| l.update_energy_pj).sum()
     }
 
@@ -210,7 +211,7 @@ impl ExecutionPlan {
         compute_cycles: u64,
         update_cycles: u64,
         training: bool,
-    ) -> f64 {
+    ) -> Seconds {
         let cycle_ns = if training {
             self.training_cycle_ns
         } else {
@@ -218,7 +219,7 @@ impl ExecutionPlan {
         };
         let compute_ns = compute_cycles as f64 * cycle_ns;
         let update_ns = update_cycles as f64 * self.update_cycle_ns;
-        (compute_ns + update_ns) * 1e-9
+        (compute_ns + update_ns).to_seconds()
     }
 
     /// Component-wise energy of training `n` inputs with `batches` weight
@@ -226,39 +227,39 @@ impl ExecutionPlan {
     pub fn training_energy_breakdown(&self, n: u64, batches: u64) -> EnergyBreakdown {
         let n = n as f64;
         EnergyBreakdown {
-            forward_j: n * self.forward_energy_pj() * 1e-12,
-            backward_j: n * self.backward_energy_pj() * 1e-12,
-            buffer_j: n * self.buffer_energy_pj * 1e-12,
-            update_j: batches as f64 * self.update_energy_pj() * 1e-12,
+            forward_j: (n * self.forward_energy_pj()).to_joules(),
+            backward_j: (n * self.backward_energy_pj()).to_joules(),
+            buffer_j: (n * self.buffer_energy_pj).to_joules(),
+            update_j: (batches as f64 * self.update_energy_pj()).to_joules(),
         }
     }
 
     /// Crossbar + buffer energy of training `n` inputs with `batches`
     /// weight updates, joules.
-    pub fn training_energy_j(&self, n: u64, batches: u64) -> f64 {
+    pub fn training_energy_j(&self, n: u64, batches: u64) -> Joules {
         self.training_energy_breakdown(n, batches).total_j()
     }
 
     /// Crossbar + buffer energy of `n` inference passes, joules: per input,
     /// the forward crossbar energy plus the two-touch inference buffer
     /// energy ([`ExecutionPlan::inference_buffer_energy_pj`]).
-    pub fn inference_energy_j(&self, n: u64) -> f64 {
-        n as f64 * (self.forward_energy_pj() + self.inference_buffer_energy_pj()) * 1e-12
+    pub fn inference_energy_j(&self, n: u64) -> Joules {
+        (n as f64 * (self.forward_energy_pj() + self.inference_buffer_energy_pj())).to_joules()
     }
 
     /// Pipeline fill of one inference input: the sum of the forward stage
     /// latencies (`Σ fᵢ`), ns.
-    pub fn inference_fill_ns(&self) -> f64 {
+    pub fn inference_fill_ns(&self) -> Ns {
         self.layers.iter().map(|l| l.forward_latency_ns).sum()
     }
 
     /// Inference initiation interval: the slowest forward stage
     /// (`max fᵢ`), ns.
-    pub fn inference_interval_ns(&self) -> f64 {
+    pub fn inference_interval_ns(&self) -> Ns {
         self.layers
             .iter()
             .map(|l| l.forward_latency_ns)
-            .fold(0.0, f64::max)
+            .fold(Ns::ZERO, Ns::max)
     }
 
     /// Wall-clock time of pipelined inference of `n` inputs with
@@ -268,15 +269,15 @@ impl ExecutionPlan {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn pipelined_inference_time_s(&self, n: u64) -> f64 {
+    pub fn pipelined_inference_time_s(&self, n: u64) -> Seconds {
         assert!(n > 0, "need at least one input");
-        (self.inference_fill_ns() + (n - 1) as f64 * self.inference_interval_ns()) * 1e-9
+        (self.inference_fill_ns() + (n - 1) as f64 * self.inference_interval_ns()).to_seconds()
     }
 
     /// Wall-clock time of non-pipelined inference: each input walks every
     /// stage alone, seconds.
-    pub fn sequential_inference_time_s(&self, n: u64) -> f64 {
-        n as f64 * self.inference_fill_ns() * 1e-9
+    pub fn sequential_inference_time_s(&self, n: u64) -> Seconds {
+        (n as f64 * self.inference_fill_ns()).to_seconds()
     }
 
     /// Service latency of one dynamic batch of `batch` inference inputs,
@@ -287,15 +288,15 @@ impl ExecutionPlan {
     /// # Panics
     ///
     /// Panics if `batch` is zero.
-    pub fn batch_inference_latency_ns(&self, batch: usize) -> f64 {
+    pub fn batch_inference_latency_ns(&self, batch: usize) -> Ns {
         assert!(batch > 0, "need at least one input");
-        self.pipelined_inference_time_s(batch as u64) * 1e9
+        self.pipelined_inference_time_s(batch as u64).to_ns()
     }
 
     /// Crossbar energy of serving `batch` inference inputs, pJ. Per-input
     /// forward energies add linearly; batching saves time (pipeline
     /// amortization), not crossbar switching energy.
-    pub fn batch_forward_energy_pj(&self, batch: usize) -> f64 {
+    pub fn batch_forward_energy_pj(&self, batch: usize) -> Pj {
         batch as f64 * self.forward_energy_pj()
     }
 
@@ -305,7 +306,7 @@ impl ExecutionPlan {
     /// re-reads the stored forward activation. The buffer closed form is
     /// linear in bytes, so the inference share is exactly two thirds of the
     /// training figure.
-    pub fn inference_buffer_energy_pj(&self) -> f64 {
+    pub fn inference_buffer_energy_pj(&self) -> Pj {
         self.buffer_energy_pj * (2.0 / 3.0)
     }
 
@@ -313,7 +314,7 @@ impl ExecutionPlan {
     /// stages (each twice its forward counterpart) in reverse order. The
     /// loss/error-computation stage is peripheral arithmetic, charged 0 ns
     /// in the wall-clock domain.
-    fn training_stage_latencies_ns(&self) -> Vec<f64> {
+    fn training_stage_latencies_ns(&self) -> Vec<Ns> {
         let fwd = self.layers.iter().map(|l| l.forward_latency_ns);
         fwd.clone().chain(fwd.rev().map(|f| 2.0 * f)).collect()
     }
@@ -326,16 +327,16 @@ impl ExecutionPlan {
     /// # Panics
     ///
     /// Panics if `n` is not a positive multiple of `batch`.
-    pub fn pipelined_training_time_s(&self, n: u64, batch: usize) -> f64 {
+    pub fn pipelined_training_time_s(&self, n: u64, batch: usize) -> Seconds {
         assert!(
             batch > 0 && n > 0 && n.is_multiple_of(batch as u64),
             "{n} inputs is not a positive multiple of batch {batch}"
         );
         let stages = self.training_stage_latencies_ns();
-        let sum: f64 = stages.iter().sum();
-        let max = stages.iter().fold(0.0f64, |a, &b| a.max(b));
+        let sum: Ns = stages.iter().sum();
+        let max = stages.iter().fold(Ns::ZERO, |a, &b| a.max(b));
         let per_batch_ns = sum + (batch as u64 - 1) as f64 * max + self.update_cycle_ns;
-        (n / batch as u64) as f64 * per_batch_ns * 1e-9
+        ((n / batch as u64) as f64 * per_batch_ns).to_seconds()
     }
 
     /// Wall-clock time of non-pipelined training: each input walks the full
@@ -344,13 +345,13 @@ impl ExecutionPlan {
     /// # Panics
     ///
     /// Panics if `n` is not a positive multiple of `batch`.
-    pub fn sequential_training_time_s(&self, n: u64, batch: usize) -> f64 {
+    pub fn sequential_training_time_s(&self, n: u64, batch: usize) -> Seconds {
         assert!(
             batch > 0 && n > 0 && n.is_multiple_of(batch as u64),
             "{n} inputs is not a positive multiple of batch {batch}"
         );
-        let per_input_ns: f64 = self.training_stage_latencies_ns().iter().sum();
-        (n as f64 * per_input_ns + (n / batch as u64) as f64 * self.update_cycle_ns) * 1e-9
+        let per_input_ns: Ns = self.training_stage_latencies_ns().iter().sum();
+        (n as f64 * per_input_ns + (n / batch as u64) as f64 * self.update_cycle_ns).to_seconds()
     }
 }
 
@@ -369,17 +370,17 @@ mod tests {
         assert_eq!(p.layers.len(), 5);
         assert_eq!(p.layers[0].name, "conv1");
         assert_eq!(p.layers[4].name, "fc5");
-        assert!(p.forward_cycle_ns > 0.0);
+        assert!(p.forward_cycle_ns > Ns::ZERO);
         assert!(p.training_cycle_ns > p.forward_cycle_ns);
         assert!(p.total_arrays > 0);
-        assert!(p.area_mm2 > 0.0);
+        assert!(p.area_mm2 > Mm2::ZERO);
     }
 
     #[test]
     fn backward_cycle_is_twice_forward() {
         let p = plan(&models::lenet_spec());
-        assert!((p.training_cycle_ns - 2.0 * p.forward_cycle_ns).abs() < 1e-9);
-        assert!((p.backward_energy_pj() - 2.0 * p.forward_energy_pj()).abs() < 1e-6);
+        assert!((p.training_cycle_ns - 2.0 * p.forward_cycle_ns).abs() < Ns(1e-9));
+        assert!((p.backward_energy_pj() - 2.0 * p.forward_energy_pj()).abs() < Pj(1e-6));
     }
 
     #[test]
@@ -409,19 +410,19 @@ mod tests {
     fn cycles_to_seconds_composition() {
         let p = plan(&models::lenet_spec());
         let s = p.cycles_to_seconds(100, 2, true);
-        let want = (100.0 * p.training_cycle_ns + 2.0 * p.update_cycle_ns) * 1e-9;
-        assert!((s - want).abs() < 1e-15);
+        let want = (100.0 * p.training_cycle_ns + 2.0 * p.update_cycle_ns).to_seconds();
+        assert!((s - want).abs() < Seconds(1e-15));
         let s = p.cycles_to_seconds(100, 0, false);
-        assert!((s - 100.0 * p.forward_cycle_ns * 1e-9).abs() < 1e-15);
+        assert!((s - (100.0 * p.forward_cycle_ns).to_seconds()).abs() < Seconds(1e-15));
     }
 
     #[test]
     fn breakdown_sums_to_total() {
         let p = plan(&models::alexnet_spec());
         let b = p.training_energy_breakdown(256, 8);
-        assert!((b.total_j() - p.training_energy_j(256, 8)).abs() < 1e-12);
-        assert!(b.forward_j > 0.0 && b.backward_j > 0.0);
-        assert!(b.buffer_j > 0.0 && b.update_j > 0.0);
+        assert!((b.total_j() - p.training_energy_j(256, 8)).abs() < Joules(1e-12));
+        assert!(b.forward_j > Joules::ZERO && b.backward_j > Joules::ZERO);
+        assert!(b.buffer_j > Joules::ZERO && b.update_j > Joules::ZERO);
         // Backward dominates forward 2:1 in the crossbar component.
         assert!((b.backward_j / b.forward_j - 2.0).abs() < 1e-9);
     }
@@ -455,7 +456,7 @@ mod tests {
     fn buffer_traffic_is_three_touches_per_output() {
         let p = plan(&models::lenet_spec());
         for l in &p.layers {
-            let out_bytes = l.work.output_elems as f64 * BYTES_PER_ELEM;
+            let out_bytes = l.work.output_elems as f64 * BYTES_PER_ELEM as f64;
             assert_eq!(l.buffer_write_bytes, out_bytes);
             assert_eq!(l.buffer_read_bytes, 2.0 * out_bytes);
         }
@@ -464,13 +465,16 @@ mod tests {
     #[test]
     fn hetero_time_closed_forms() {
         let p = plan(&models::lenet_spec());
-        let f: Vec<f64> = p.layers.iter().map(|l| l.forward_latency_ns).collect();
-        let sum: f64 = f.iter().sum();
-        let max = f.iter().fold(0.0f64, |a, &b| a.max(b));
+        let f: Vec<Ns> = p.layers.iter().map(|l| l.forward_latency_ns).collect();
+        let sum: Ns = f.iter().sum();
+        let max = f.iter().fold(Ns::ZERO, |a, &b| a.max(b));
         let got = p.pipelined_inference_time_s(100);
-        let want = (sum + 99.0 * max) * 1e-9;
-        assert!((got - want).abs() < 1e-18);
-        assert!((p.sequential_inference_time_s(100) - 100.0 * sum * 1e-9).abs() < 1e-18);
+        let want = (sum + 99.0 * max).to_seconds();
+        assert!((got - want).abs() < Seconds(1e-18));
+        assert!(
+            (p.sequential_inference_time_s(100) - (100.0 * sum).to_seconds()).abs()
+                < Seconds(1e-18)
+        );
         // Pipelined never slower than sequential; training dominated by the
         // doubled backward stages.
         assert!(p.pipelined_inference_time_s(100) <= p.sequential_inference_time_s(100));
@@ -481,13 +485,15 @@ mod tests {
     #[test]
     fn serving_accessors_follow_closed_forms() {
         let p = plan(&models::lenet_spec());
-        let f: Vec<f64> = p.layers.iter().map(|l| l.forward_latency_ns).collect();
-        let sum: f64 = f.iter().sum();
-        let max = f.iter().fold(0.0f64, |a, &b| a.max(b));
-        assert!((p.batch_inference_latency_ns(8) - (sum + 7.0 * max)).abs() < 1e-9);
-        assert!((p.batch_inference_latency_ns(1) - sum).abs() < 1e-9);
+        let f: Vec<Ns> = p.layers.iter().map(|l| l.forward_latency_ns).collect();
+        let sum: Ns = f.iter().sum();
+        let max = f.iter().fold(Ns::ZERO, |a, &b| a.max(b));
+        assert!((p.batch_inference_latency_ns(8) - (sum + 7.0 * max)).abs() < Ns(1e-9));
+        assert!((p.batch_inference_latency_ns(1) - sum).abs() < Ns(1e-9));
         assert_eq!(p.batch_forward_energy_pj(4), 4.0 * p.forward_energy_pj());
-        assert!((p.inference_buffer_energy_pj() - p.buffer_energy_pj * 2.0 / 3.0).abs() < 1e-12);
+        assert!(
+            (p.inference_buffer_energy_pj() - p.buffer_energy_pj * 2.0 / 3.0).abs() < Pj(1e-12)
+        );
     }
 
     #[test]

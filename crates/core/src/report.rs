@@ -23,7 +23,7 @@ fn layer_report(l: &LayerPlan) -> LayerReport {
         cycles: l.stage_cycles,
         adc_conversions: l.adc_conversions,
         cell_writes: l.cell_writes,
-        energy_pj: l.forward_energy_pj,
+        energy_pj: l.forward_energy_pj.0,
     }
 }
 

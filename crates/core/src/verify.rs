@@ -25,13 +25,15 @@
 //!   per-input cycles.
 //!
 //! Violations are typed ([`Violation`]) and carry the numbers that
-//! disagree, so `reram-lint --plans` can print them in the same
-//! `file:line: [rule] message` shape as source findings. Every call to
-//! [`ExecutionPlan::lower`] re-verifies its own output in debug builds.
+//! disagree, in the cost model's units. Every call to
+//! [`ExecutionPlan::lower`] re-verifies its own output in debug builds,
+//! and this module's tests sweep the model zoo across [`config_matrix`]
+//! and check a half-loaded serving shape under every matrix entry.
 
 use crate::mapping::ReplicationPolicy;
 use crate::plan::{adc_conversions, cell_writes, ExecutionPlan, PlanError, BYTES_PER_ELEM};
 use crate::AcceleratorConfig;
+use reram_crossbar::units::{Ns, Pj};
 use reram_nn::{models, NetworkSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -57,18 +59,18 @@ fn close(a: f64, b: f64) -> bool {
 pub enum Violation {
     /// `forward_cycle_ns` is not the slowest forward stage latency.
     ForwardCycleMismatch {
-        /// Aggregate stored in the plan, ns.
-        plan_ns: f64,
-        /// Max per-layer forward latency re-derived from the layers, ns.
-        derived_ns: f64,
+        /// Aggregate stored in the plan.
+        plan_ns: Ns,
+        /// Max per-layer forward latency re-derived from the layers.
+        derived_ns: Ns,
     },
     /// `training_cycle_ns` is not twice `forward_cycle_ns` (backward
     /// stages dominate at 2× the forward latency, Fig. 5).
     TrainingCycleMismatch {
-        /// Training macro-cycle stored in the plan, ns.
-        training_ns: f64,
-        /// Forward macro-cycle stored in the plan, ns.
-        forward_ns: f64,
+        /// Training macro-cycle stored in the plan.
+        training_ns: Ns,
+        /// Forward macro-cycle stored in the plan.
+        forward_ns: Ns,
     },
     /// `total_arrays` is not the sum of the per-layer array counts.
     ArrayTotalMismatch {
@@ -80,10 +82,10 @@ pub enum Violation {
     /// `buffer_energy_pj` disagrees with the 3-touch traffic closed form
     /// (every weighted output written once, consumed once, re-read once).
     BufferEnergyMismatch {
-        /// Aggregate stored in the plan, pJ.
-        plan_pj: f64,
-        /// Energy re-derived from the layer output sizes, pJ.
-        derived_pj: f64,
+        /// Aggregate stored in the plan.
+        plan_pj: Pj,
+        /// Energy re-derived from the layer output sizes.
+        derived_pj: Pj,
     },
     /// A per-layer `f64` closed form disagrees with its re-derivation
     /// (stage latency, forward/backward/update energy, update cycle).
@@ -175,17 +177,17 @@ pub enum Violation {
     NonPositiveStage {
         /// Layer name.
         layer: String,
-        /// The offending stage latency, ns.
-        latency_ns: f64,
+        /// The offending stage latency.
+        latency_ns: Ns,
     },
     /// Metamorphic: doubling the batch size lowered the batch latency.
     BatchLatencyShrank {
         /// Base batch size.
         batch: usize,
-        /// Latency at `batch`, ns.
-        latency_ns: f64,
-        /// Latency at `2 · batch`, ns.
-        doubled_ns: f64,
+        /// Latency at `batch`.
+        latency_ns: Ns,
+        /// Latency at `2 · batch`.
+        doubled_ns: Ns,
     },
     /// Metamorphic: doubling the replication factor raised per-input
     /// cycles (more weight copies must never slow a layer down).
@@ -389,14 +391,14 @@ pub fn verify_plan(plan: &ExecutionPlan, config: &AcceleratorConfig) -> Vec<Viol
         .layers
         .iter()
         .map(|l| l.forward_latency_ns)
-        .fold(0.0, f64::max);
-    if !close(plan.forward_cycle_ns, derived_cycle) {
+        .fold(Ns::ZERO, Ns::max);
+    if !close(plan.forward_cycle_ns.0, derived_cycle.0) {
         v.push(Violation::ForwardCycleMismatch {
             plan_ns: plan.forward_cycle_ns,
             derived_ns: derived_cycle,
         });
     }
-    if !close(plan.training_cycle_ns, 2.0 * plan.forward_cycle_ns) {
+    if !close(plan.training_cycle_ns.0, (2.0 * plan.forward_cycle_ns).0) {
         v.push(Violation::TrainingCycleMismatch {
             training_ns: plan.training_cycle_ns,
             forward_ns: plan.forward_cycle_ns,
@@ -412,8 +414,8 @@ pub fn verify_plan(plan: &ExecutionPlan, config: &AcceleratorConfig) -> Vec<Viol
     let activation_elems: f64 = plan.layers.iter().map(|l| l.work.output_elems as f64).sum();
     let derived_buffer = config
         .cost
-        .buffer_energy_pj((activation_elems * BYTES_PER_ELEM * 3.0) as u64);
-    if !close(plan.buffer_energy_pj, derived_buffer) {
+        .buffer_energy_pj((activation_elems * BYTES_PER_ELEM as f64 * 3.0) as u64);
+    if !close(plan.buffer_energy_pj.0, derived_buffer.0) {
         v.push(Violation::BufferEnergyMismatch {
             plan_pj: plan.buffer_energy_pj,
             derived_pj: derived_buffer,
@@ -423,8 +425,8 @@ pub fn verify_plan(plan: &ExecutionPlan, config: &AcceleratorConfig) -> Vec<Viol
     v.extend(form(
         "<plan>",
         "update_cycle_ns",
-        plan.update_cycle_ns,
-        program_latency_ns,
+        plan.update_cycle_ns.0,
+        program_latency_ns.0,
     ));
 
     // Per-layer conservation laws and closed forms.
@@ -465,7 +467,7 @@ pub fn verify_plan(plan: &ExecutionPlan, config: &AcceleratorConfig) -> Vec<Viol
                 derived: derived_writes,
             });
         }
-        let out_bytes = l.work.output_elems as f64 * BYTES_PER_ELEM;
+        let out_bytes = l.work.output_elems as f64 * BYTES_PER_ELEM as f64;
         if !close(l.buffer_write_bytes, out_bytes)
             || !close(l.buffer_read_bytes, 2.0 * l.buffer_write_bytes)
         {
@@ -488,7 +490,8 @@ pub fn verify_plan(plan: &ExecutionPlan, config: &AcceleratorConfig) -> Vec<Viol
                 steps: m.steps_per_input,
             });
         }
-        if !(l.forward_latency_ns.is_finite() && l.forward_latency_ns > 0.0) || l.stage_cycles == 0
+        if !(l.forward_latency_ns.0.is_finite() && l.forward_latency_ns > Ns::ZERO)
+            || l.stage_cycles == 0
         {
             v.push(Violation::NonPositiveStage {
                 layer: l.name.clone(),
@@ -498,32 +501,32 @@ pub fn verify_plan(plan: &ExecutionPlan, config: &AcceleratorConfig) -> Vec<Viol
         v.extend(form(
             &l.name,
             "forward_latency_ns",
-            l.forward_latency_ns,
-            m.stage_latency_ns(),
+            l.forward_latency_ns.0,
+            m.stage_latency_ns().0,
         ));
         v.extend(form(
             &l.name,
             "backward_latency_ns",
-            l.backward_latency_ns,
-            2.0 * l.forward_latency_ns,
+            l.backward_latency_ns.0,
+            (2.0 * l.forward_latency_ns).0,
         ));
         v.extend(form(
             &l.name,
             "forward_energy_pj",
-            l.forward_energy_pj,
-            m.forward_energy_pj(),
+            l.forward_energy_pj.0,
+            m.forward_energy_pj().0,
         ));
         v.extend(form(
             &l.name,
             "backward_energy_pj",
-            l.backward_energy_pj,
-            2.0 * l.forward_energy_pj,
+            l.backward_energy_pj.0,
+            (2.0 * l.forward_energy_pj).0,
         ));
         v.extend(form(
             &l.name,
             "update_energy_pj",
-            l.update_energy_pj,
-            m.arrays as f64 * program_energy_pj,
+            l.update_energy_pj.0,
+            (m.arrays as f64 * program_energy_pj).0,
         ));
     }
 
@@ -535,7 +538,7 @@ pub fn verify_plan(plan: &ExecutionPlan, config: &AcceleratorConfig) -> Vec<Viol
         for batch in [1usize, 4, 16] {
             let small = plan.batch_inference_latency_ns(batch);
             let big = plan.batch_inference_latency_ns(2 * batch);
-            if big + REL_TOL * small.abs().max(1.0) < small {
+            if big + REL_TOL * small.abs().max(Ns(1.0)) < small {
                 v.push(Violation::BatchLatencyShrank {
                     batch,
                     latency_ns: small,
@@ -693,11 +696,11 @@ pub fn verify_serve(plans: &[ExecutionPlan], shape: &ServeShape) -> Vec<Violatio
     let slowest_batch_ns = plans
         .iter()
         .map(|p| p.batch_inference_latency_ns(batch))
-        .fold(0.0f64, f64::max);
-    if shape.max_linger_ns as f64 > LINGER_FACTOR * slowest_batch_ns {
+        .fold(Ns::ZERO, Ns::max);
+    if Ns(shape.max_linger_ns as f64) > LINGER_FACTOR * slowest_batch_ns {
         v.push(Violation::LingerExcessive {
             max_linger_ns: shape.max_linger_ns,
-            slowest_batch_ns: slowest_batch_ns as u64,
+            slowest_batch_ns: slowest_batch_ns.0 as u64,
         });
     }
 
@@ -737,12 +740,12 @@ pub fn service_rps(plans: &[ExecutionPlan], shape: &ServeShape) -> Option<f64> {
         vec![1.0; plans.len()]
     };
     let total_weight: f64 = weights.iter().sum();
-    let mean_service_ns: f64 = plans
+    let mean_service_ns: Ns = plans
         .iter()
         .zip(&weights)
         .map(|(plan, w)| (w / total_weight) * plan.batch_inference_latency_ns(batch) / batch as f64)
         .sum();
-    (mean_service_ns > 0.0).then(|| shape.chips as f64 * 1e9 / mean_service_ns)
+    (mean_service_ns > Ns::ZERO).then(|| shape.chips as f64 * 1e9 / mean_service_ns.0)
 }
 
 /// One verifier finding over the lowered model zoo.
@@ -846,19 +849,31 @@ mod tests {
 
     #[test]
     fn serve_shape_default_is_feasible() {
-        let config = AcceleratorConfig::default();
-        let plans = vec![
-            plan_for(&models::lenet_spec(), &config),
-            plan_for(&models::alexnet_spec(), &config),
-        ];
-        let shape = ServeShape {
+        let plans_under = |config: &AcceleratorConfig| {
+            vec![
+                plan_for(&models::lenet_spec(), config),
+                plan_for(&models::alexnet_spec(), config),
+            ]
+        };
+        let mut shape = ServeShape {
             chips: 4,
             max_batch: 16,
             max_linger_ns: 20_000,
             mean_arrival_rps: 200_000.0,
             mix: vec![0.7, 0.3],
         };
+        let plans = plans_under(&AcceleratorConfig::default());
         assert_eq!(verify_serve(&plans, &shape), Vec::new());
+
+        // Capacity spans orders of magnitude across the matrix, so each
+        // entry is offered half of its own plan-priced capacity: a finding
+        // is a regression in the closed forms, not an infeasible shape.
+        for (name, config) in config_matrix() {
+            let plans = plans_under(&config);
+            let capacity = service_rps(&plans, &shape).expect("positive capacity");
+            shape.mean_arrival_rps = 0.5 * capacity;
+            assert_eq!(verify_serve(&plans, &shape), Vec::new(), "{name}");
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@ use reram_core::verify::{
     ServeShape, Violation,
 };
 use reram_core::{AcceleratorConfig, ExecutionPlan, PlanError, ReplicationPolicy};
+use reram_crossbar::units::Ns;
 use reram_nn::models;
 
 fn clean_plan() -> (ExecutionPlan, AcceleratorConfig) {
@@ -46,7 +47,7 @@ fn expect_violation(
 #[test]
 fn corrupt_forward_cycle_is_flagged() {
     let (mut plan, config) = clean_plan();
-    plan.forward_cycle_ns *= 2.0;
+    plan.forward_cycle_ns.0 *= 2.0;
     expect_violation(
         &plan,
         &config,
@@ -57,7 +58,7 @@ fn corrupt_forward_cycle_is_flagged() {
 #[test]
 fn corrupt_training_cycle_is_flagged() {
     let (mut plan, config) = clean_plan();
-    plan.training_cycle_ns += 1.0;
+    plan.training_cycle_ns.0 += 1.0;
     let violations = expect_violation(&plan, &config, |v| {
         matches!(v, Violation::TrainingCycleMismatch { .. })
     });
@@ -78,7 +79,7 @@ fn corrupt_array_total_is_flagged() {
 #[test]
 fn corrupt_buffer_energy_is_flagged() {
     let (mut plan, config) = clean_plan();
-    plan.buffer_energy_pj *= 3.0;
+    plan.buffer_energy_pj.0 *= 3.0;
     let violations = expect_violation(&plan, &config, |v| {
         matches!(v, Violation::BufferEnergyMismatch { .. })
     });
@@ -88,7 +89,7 @@ fn corrupt_buffer_energy_is_flagged() {
 #[test]
 fn corrupt_update_cycle_is_flagged_as_plan_wide_form() {
     let (mut plan, config) = clean_plan();
-    plan.update_cycle_ns *= 5.0;
+    plan.update_cycle_ns.0 *= 5.0;
     expect_violation(&plan, &config, |v| {
         matches!(v, Violation::LayerFormMismatch { layer, quantity, .. }
                  if layer == "<plan>" && quantity == "update_cycle_ns")
@@ -98,7 +99,7 @@ fn corrupt_update_cycle_is_flagged_as_plan_wide_form() {
 #[test]
 fn corrupt_layer_energy_is_flagged_as_layer_form() {
     let (mut plan, config) = clean_plan();
-    plan.layers[0].update_energy_pj *= 1.01;
+    plan.layers[0].update_energy_pj.0 *= 1.01;
     let name = plan.layers[0].name.clone();
     expect_violation(&plan, &config, |v| {
         matches!(v, Violation::LayerFormMismatch { layer, quantity, .. }
@@ -196,12 +197,12 @@ fn zero_cycle_stage_is_flagged() {
 fn negative_stage_latency_is_flagged() {
     let (mut plan, config) = clean_plan();
     for l in &mut plan.layers {
-        l.forward_latency_ns = -1.0;
+        l.forward_latency_ns.0 = -1.0;
     }
     let violations = expect_violation(
         &plan,
         &config,
-        |v| matches!(v, Violation::NonPositiveStage { latency_ns, .. } if *latency_ns == -1.0),
+        |v| matches!(v, Violation::NonPositiveStage { latency_ns, .. } if latency_ns.0 == -1.0),
     );
     assert!(
         violations
@@ -225,8 +226,8 @@ fn negative_stage_latency_is_flagged() {
 fn batch_shrink_variant_renders_and_round_trips() {
     let v = Violation::BatchLatencyShrank {
         batch: 4,
-        latency_ns: 100.0,
-        doubled_ns: 90.0,
+        latency_ns: Ns(100.0),
+        doubled_ns: Ns(90.0),
     };
     assert!(v.to_string().contains("batch 4 -> 8"), "{v}");
     let json = serde::json::to_string(&v);

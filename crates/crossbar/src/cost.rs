@@ -11,44 +11,45 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::units::{Ns, Pj, Um2};
 use crate::CrossbarConfig;
 
 /// Per-component circuit parameters of the crossbar cost model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrossbarCostModel {
     /// Latency of one 1-bit spike frame through an array, ns.
-    pub frame_latency_ns: f64,
+    pub frame_latency_ns: Ns,
     /// Spike driver energy per wordline spike, pJ.
-    pub spike_driver_energy_pj: f64,
+    pub spike_driver_energy_pj: Pj,
     /// Cell read energy per active cell per frame, pJ.
-    pub cell_read_energy_pj: f64,
+    pub cell_read_energy_pj: Pj,
     /// Integrate-and-fire + counter energy per bitline per frame, pJ.
-    pub inf_energy_pj: f64,
+    pub inf_energy_pj: Pj,
     /// Cell programming energy, pJ per cell.
-    pub cell_write_energy_pj: f64,
+    pub cell_write_energy_pj: Pj,
     /// Programming latency per array row (rows write in parallel across
     /// bitlines), ns.
-    pub row_write_latency_ns: f64,
+    pub row_write_latency_ns: Ns,
     /// Partial-sum adder latency per merge level, ns.
-    pub adder_latency_ns: f64,
+    pub adder_latency_ns: Ns,
     /// Buffer subarray read+write energy per byte moved, pJ.
-    pub buffer_energy_pj_per_byte: f64,
+    pub buffer_energy_pj_per_byte: Pj,
     /// Silicon area per array including periphery, µm².
-    pub array_area_um2: f64,
+    pub array_area_um2: Um2,
 }
 
 impl Default for CrossbarCostModel {
     fn default() -> Self {
         Self {
-            frame_latency_ns: 20.0,
-            spike_driver_energy_pj: 1.0,
-            cell_read_energy_pj: 0.1,
-            inf_energy_pj: 2.0,
-            cell_write_energy_pj: 20.0,
-            row_write_latency_ns: 100.0,
-            adder_latency_ns: 1.0,
-            buffer_energy_pj_per_byte: 1.0,
-            array_area_um2: 2500.0,
+            frame_latency_ns: Ns(20.0),
+            spike_driver_energy_pj: Pj(1.0),
+            cell_read_energy_pj: Pj(0.1),
+            inf_energy_pj: Pj(2.0),
+            cell_write_energy_pj: Pj(20.0),
+            row_write_latency_ns: Ns(100.0),
+            adder_latency_ns: Ns(1.0),
+            buffer_energy_pj_per_byte: Pj(1.0),
+            array_area_um2: Um2(2500.0),
         }
     }
 }
@@ -57,16 +58,16 @@ impl Default for CrossbarCostModel {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ComponentEnergy {
     /// Spike drivers (input application).
-    pub driver_pj: f64,
+    pub driver_pj: Pj,
     /// Cell array reads.
-    pub cells_pj: f64,
+    pub cells_pj: Pj,
     /// Integrate-and-fire converters and counters.
-    pub inf_pj: f64,
+    pub inf_pj: Pj,
 }
 
 impl ComponentEnergy {
     /// Total energy across components, pJ.
-    pub fn total_pj(&self) -> f64 {
+    pub fn total_pj(&self) -> Pj {
         self.driver_pj + self.cells_pj + self.inf_pj
     }
 
@@ -82,7 +83,7 @@ impl ComponentEnergy {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MvmCost {
     /// End-to-end latency, ns.
-    pub latency_ns: f64,
+    pub latency_ns: Ns,
     /// Energy breakdown, pJ.
     pub energy: ComponentEnergy,
     /// Spike frames driven (equals configured input bits).
@@ -93,7 +94,7 @@ pub struct MvmCost {
 
 impl MvmCost {
     /// Total energy, pJ.
-    pub fn energy_pj(&self) -> f64 {
+    pub fn energy_pj(&self) -> Pj {
         self.energy.total_pj()
     }
 }
@@ -161,7 +162,7 @@ impl CrossbarCostModel {
 
     /// Cost of programming (weight-updating) one full array:
     /// `(latency_ns, energy_pj)`.
-    pub fn program_cost(&self, config: &CrossbarConfig) -> (f64, f64) {
+    pub fn program_cost(&self, config: &CrossbarConfig) -> (Ns, Pj) {
         let cells = (config.rows * config.cols) as f64;
         (
             config.rows as f64 * self.row_write_latency_ns,
@@ -170,12 +171,12 @@ impl CrossbarCostModel {
     }
 
     /// Buffer traffic energy for moving `bytes` through a buffer subarray, pJ.
-    pub fn buffer_energy_pj(&self, bytes: u64) -> f64 {
+    pub fn buffer_energy_pj(&self, bytes: u64) -> Pj {
         bytes as f64 * self.buffer_energy_pj_per_byte
     }
 
     /// Silicon area of an array grid, µm².
-    pub fn grid_area_um2(&self, arrays: usize) -> f64 {
+    pub fn grid_area_um2(&self, arrays: usize) -> Um2 {
         arrays as f64 * self.array_area_um2
     }
 }
@@ -205,10 +206,10 @@ mod tests {
         let m = CrossbarCostModel::default();
         let quiet = m.mvm_cost(&cfg(), 0.0);
         let busy = m.mvm_cost(&cfg(), 1.0);
-        assert_eq!(quiet.energy.driver_pj, 0.0);
-        assert_eq!(quiet.energy.cells_pj, 0.0);
+        assert_eq!(quiet.energy.driver_pj, Pj::ZERO);
+        assert_eq!(quiet.energy.cells_pj, Pj::ZERO);
         // I&F runs regardless of input activity.
-        assert!(quiet.energy.inf_pj > 0.0);
+        assert!(quiet.energy.inf_pj > Pj::ZERO);
         assert!(busy.energy_pj() > quiet.energy_pj());
     }
 
@@ -219,7 +220,7 @@ mod tests {
         let grid = m.grid_mvm_cost(&cfg(), 9, 2, 0.5);
         assert_eq!(grid.arrays, 36);
         // ceil(log2(9)) = 4 merge levels.
-        assert!((grid.latency_ns - (one.latency_ns + 4.0 * m.adder_latency_ns)).abs() < 1e-9);
+        assert!((grid.latency_ns - (one.latency_ns + 4.0 * m.adder_latency_ns)).abs() < Ns(1e-9));
     }
 
     #[test]
@@ -227,7 +228,7 @@ mod tests {
         let m = CrossbarCostModel::default();
         let one = m.mvm_cost(&cfg(), 0.5);
         let grid = m.grid_mvm_cost(&cfg(), 3, 4, 0.5);
-        assert!((grid.energy_pj() - 24.0 * one.energy_pj()).abs() < 1e-6);
+        assert!((grid.energy_pj() - 24.0 * one.energy_pj()).abs() < Pj(1e-6));
     }
 
     #[test]
@@ -249,15 +250,15 @@ mod tests {
     #[test]
     fn component_energy_breakdown_sums() {
         let e = ComponentEnergy {
-            driver_pj: 1.0,
-            cells_pj: 2.0,
-            inf_pj: 3.0,
+            driver_pj: Pj(1.0),
+            cells_pj: Pj(2.0),
+            inf_pj: Pj(3.0),
         };
-        assert_eq!(e.total_pj(), 6.0);
+        assert_eq!(e.total_pj(), Pj(6.0));
         let mut acc = ComponentEnergy::default();
         acc.accumulate(&e);
         acc.accumulate(&e);
-        assert_eq!(acc.total_pj(), 12.0);
+        assert_eq!(acc.total_pj(), Pj(12.0));
     }
 
     #[test]
@@ -269,7 +270,7 @@ mod tests {
     #[test]
     fn buffer_and_area_helpers() {
         let m = CrossbarCostModel::default();
-        assert_eq!(m.buffer_energy_pj(1000), 1000.0);
-        assert_eq!(m.grid_area_um2(4), 10_000.0);
+        assert_eq!(m.buffer_energy_pj(1000), Pj(1000.0));
+        assert_eq!(m.grid_area_um2(4), Um2(10_000.0));
     }
 }

@@ -22,7 +22,8 @@
 //!   horizontal collection and vertical summation of partial results
 //!   (Fig. 3(c)), using differential positive/negative arrays for signed
 //!   weights (Fig. 10 Ⓑ),
-//! * [`cost`] — per-component latency/energy/area accounting.
+//! * [`cost`] — per-component latency/energy/area accounting, in the
+//!   dimensioned quantities of [`units`].
 //!
 //! # Example
 //!
@@ -54,6 +55,7 @@ pub mod quant;
 pub mod readout;
 pub mod spike;
 pub mod tile;
+pub mod units;
 
 mod config;
 

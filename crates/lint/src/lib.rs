@@ -2,8 +2,8 @@
 //! workspace.
 //!
 //! The paper-reproduction's credibility rests on closed-form hardware
-//! accounting: if a constant loses its unit or an event loses its
-//! instrumentation, the numbers in the regenerated tables silently stop
+//! accounting: if a crate dependency points up the stack or an event loses
+//! its instrumentation, the numbers in the regenerated tables silently stop
 //! meaning what they claim. This crate is a workspace-aware static-analysis
 //! pass — a small token-level Rust scanner, no external parser
 //! dependencies — that fails the build when the codebase violates its own
@@ -12,7 +12,6 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `layering` | crate dependencies point down the stack, no back-edges; every manifest inherits `[workspace.lints]` |
-//! | `units` | cost/plan/report quantities carry unit suffixes; no cross-dimension `+`/`-` |
 //! | `dead-event` | every `telemetry::Event` variant is *emitted* via `record(...)` outside the telemetry crate |
 //! | `must_use` | public `fn`s returning `Result` in library crates carry `#[must_use]` |
 //!
@@ -20,7 +19,10 @@
 //! and the determinism policy (no `Instant`/`SystemTime`/`HashMap`/`HashSet`)
 //! are not rules here: rustc and clippy enforce them type-aware through
 //! `[workspace.lints]` and the root `clippy.toml`, and `layering` makes sure
-//! no crate drops out of that policy.
+//! no crate drops out of that policy. Unit discipline is not a rule either:
+//! the cost model carries dimensioned newtypes (`reram_crossbar::units`),
+//! so adding picojoules to nanoseconds does not compile. Lowered-plan
+//! invariants are checked by `reram_core::verify` and its tests.
 //!
 //! A justified exception to one of these rules is waived in place with
 //! `// lint:allow(<rule>) <reason>` on (or directly above) the offending
@@ -28,15 +30,7 @@
 //! diagnostics. Run via `cargo run -p reram-lint` (wired into
 //! `scripts/check.sh`); the binary exits non-zero on any violation and
 //! prints `file:line: [rule] message` diagnostics.
-//!
-//! Beyond the source rules, `cargo run -p reram-lint -- --plans` verifies
-//! *lowered IR* instead of text: every model-zoo network is lowered under a
-//! matrix of accelerator configs and statically checked by
-//! [`reram_core::verify`] (conservation laws, feasibility, metamorphic
-//! monotonicity), with violations reported in the same diagnostic format
-//! under the rule name `plan` (see [`plans`]).
 
-pub mod plans;
 pub mod rules;
 pub mod scanner;
 pub mod workspace;
@@ -53,7 +47,7 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule name (`layering`, `units`, ...).
+    /// Rule name (`layering`, `dead-event`, ...).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,

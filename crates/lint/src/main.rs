@@ -4,15 +4,13 @@ use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use reram_lint::{check_workspace, plans, rules, Workspace};
+use reram_lint::{check_workspace, rules, Workspace};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut plans_mode = false;
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--plans" => plans_mode = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
@@ -29,18 +27,13 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "reram-lint: first-party architectural lint\n\n\
-                     usage: cargo run -p reram-lint [-- --root <dir> | --list-rules | --plans]\n\n\
-                     Checks the workspace's simulator invariants (layering, unit\n\
-                     discipline, dead events, must_use) and exits non-zero on any\n\
-                     violation. The abort and determinism policies live in\n\
-                     [workspace.lints] and clippy.toml instead (cargo clippy).\n\
+                     usage: cargo run -p reram-lint [-- --root <dir> | --list-rules]\n\n\
+                     Checks the workspace's simulator invariants (layering, dead\n\
+                     events, must_use) and exits non-zero on any violation. The\n\
+                     abort and determinism policies live in [workspace.lints] and\n\
+                     clippy.toml instead (cargo clippy).\n\
                      Waive a justified exception with\n\
-                     `// lint:allow(<rule>) <reason>` on or above the line.\n\n\
-                     --plans verifies lowered IR instead of source: every model-zoo\n\
-                     network is lowered under a matrix of accelerator configs and\n\
-                     statically checked (conservation laws, feasibility, metamorphic\n\
-                     monotonicity); violations print as plan/<config>/<network>\n\
-                     diagnostics under the rule name `plan`."
+                     `// lint:allow(<rule>) <reason>` on or above the line."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -49,25 +42,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-
-    if plans_mode {
-        // Plan verification runs over lowered IR, not the source tree — no
-        // workspace loading needed.
-        let check = plans::check_plans();
-        for d in &check.diags {
-            println!("{d}");
-        }
-        return if check.diags.is_empty() {
-            println!(
-                "reram-lint --plans: verified {} plans across {} configs — clean",
-                check.plans, check.configs
-            );
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("reram-lint --plans: {} violation(s)", check.diags.len());
-            ExitCode::FAILURE
-        };
     }
 
     let Some(root) = root.or_else(discover_root) else {

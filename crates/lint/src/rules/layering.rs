@@ -4,9 +4,8 @@
 //! `{tensor, telemetry} → {crossbar, datasets} → nn → gpu → core →
 //! serve → bench → suite`: a crate may depend only on first-party crates in a
 //! strictly lower layer, so no back-edges (and no same-layer edges) can
-//! form. `reram-lint` itself is a tool at the top of the stack: it may
-//! depend downward like any crate (the `--plans` mode lowers the model zoo
-//! through `reram-core`), but nothing may depend on it — the stack must
+//! form. `reram-lint` itself is a tool at the top of the stack: it depends
+//! on no first-party crate, and nothing may depend on it — the stack must
 //! keep building when the tool is deleted.
 //!
 //! The manifest pass also requires every first-party crate to declare

@@ -3,7 +3,6 @@
 pub mod dead_events;
 pub mod layering;
 pub mod must_use;
-pub mod units;
 
 use crate::workspace::Workspace;
 use crate::Diagnostic;
@@ -17,11 +16,6 @@ pub const RULES: &[(&str, &str, RuleFn)] = &[
         "layering",
         "crate dependencies must point down the stack (tensor/telemetry -> crossbar -> nn -> gpu -> core -> serve -> bench -> suite); every manifest inherits [workspace.lints]",
         layering::check,
-    ),
-    (
-        "units",
-        "f64 quantities in crossbar::cost / core::plan / core::report carry unit suffixes; no cross-dimension +/-",
-        units::check,
     ),
     (
         "dead-event",

@@ -481,11 +481,11 @@ mod tests {
 
     #[test]
     fn allow_parsing_and_reason_required() {
-        let src = "x.unwrap(); // lint:allow(units) invariant: always present\ny();\n// lint:allow(units)\nz();";
+        let src = "x.unwrap(); // lint:allow(must_use) invariant: always present\ny();\n// lint:allow(must_use)\nz();";
         let f = SourceFile::parse("a.rs", src);
-        assert!(f.allowed(1, "units"));
-        assert!(f.allowed(2, "units")); // line below an annotation
-        assert!(!f.allowed(4, "units")); // reason missing -> malformed
+        assert!(f.allowed(1, "must_use"));
+        assert!(f.allowed(2, "must_use")); // line below an annotation
+        assert!(!f.allowed(4, "must_use")); // reason missing -> malformed
         assert_eq!(f.bad_allows.len(), 1);
         assert_eq!(f.bad_allows[0].0, 3);
     }

@@ -117,60 +117,6 @@ fn layering_accepts_sanctioned_core_module_edges() {
 }
 
 #[test]
-fn units_flags_unsuffixed_float_field_and_const() {
-    let src = "const FRAME_OVERHEAD: f64 = 2.0;\n\
-               pub struct Cost {\n    pub latency: f64,\n    pub frames: u32,\n}\n";
-    let m = manifest("reram-crossbar", &[]);
-    let ws = Workspace::from_sources(&[(
-        "reram-crossbar",
-        &m,
-        &[("crates/crossbar/src/cost.rs", src)],
-    )]);
-    let hits = rules_hit(&ws);
-    assert!(
-        hits.contains(&("crates/crossbar/src/cost.rs:1".to_owned(), "units")),
-        "unsuffixed const must trip: {hits:?}"
-    );
-    assert!(
-        hits.contains(&("crates/crossbar/src/cost.rs:3".to_owned(), "units")),
-        "unsuffixed f64 field must trip: {hits:?}"
-    );
-    // The u32 count field is exempt.
-    assert!(!hits.contains(&("crates/crossbar/src/cost.rs:4".to_owned(), "units")));
-}
-
-#[test]
-fn units_flags_cross_dimension_addition() {
-    let src = "pub fn total(latency_ns: f64, energy_pj: f64) -> f64 {\n\
-                   latency_ns + energy_pj\n\
-               }\n";
-    let m = manifest("reram-core", &[]);
-    let ws =
-        Workspace::from_sources(&[("reram-core", &m, &[("crates/core/src/plan/mod.rs", src)])]);
-    let hits = rules_hit(&ws);
-    assert!(
-        hits.contains(&("crates/core/src/plan/mod.rs:2".to_owned(), "units")),
-        "ns + pj must trip: {hits:?}"
-    );
-}
-
-#[test]
-fn units_accepts_suffixed_quantities_and_same_dimension_sums() {
-    let src = "const FRAME_LATENCY_NS: f64 = 20.0;\n\
-               pub struct Cost {\n    pub latency_ns: f64,\n    pub energy_pj: f64,\n}\n\
-               pub fn f(c: &Cost) -> f64 {\n    c.latency_ns + 2.0 * FRAME_LATENCY_NS\n}\n\
-               pub fn g(a_pj: f64, b_pj: f64) -> f64 {\n    a_pj + b_pj\n}\n";
-    let m = manifest("reram-crossbar", &[]);
-    let ws = Workspace::from_sources(&[(
-        "reram-crossbar",
-        &m,
-        &[("crates/crossbar/src/cost.rs", src)],
-    )]);
-    let diags = check_workspace(&ws);
-    assert!(diags.is_empty(), "clean unit code must pass: {diags:?}");
-}
-
-#[test]
 fn dead_event_flags_referenced_but_never_recorded_variant() {
     let telemetry_manifest = manifest("reram-telemetry", &[]);
     let event_src = "pub enum Event {\n    CrossbarMvm = 0,\n    CellWrite = 1,\n}\n";

@@ -10,6 +10,7 @@
 //! priced into the batch latency closed form, so the serving layer never
 //! re-simulates individual layers.
 
+use reram_core::units::{Ns, Pj};
 use reram_core::{AcceleratorConfig, ExecutionPlan};
 use reram_nn::NetworkSpec;
 
@@ -24,14 +25,14 @@ use crate::ServeError;
 /// bit-identical to asking the plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct BatchPrice {
-    /// Pipeline fill of one input (`Σ fᵢ`), nanoseconds.
-    fill_ns: f64,
-    /// Initiation interval per additional input (`max fᵢ`), nanoseconds.
-    interval_ns: f64,
-    /// Forward crossbar energy of one input, picojoules.
-    forward_pj: f64,
-    /// Inference buffer energy of one input, picojoules.
-    buffer_pj: f64,
+    /// Pipeline fill of one input (`Σ fᵢ`).
+    fill_ns: Ns,
+    /// Initiation interval per additional input (`max fᵢ`).
+    interval_ns: Ns,
+    /// Forward crossbar energy of one input.
+    forward_pj: Pj,
+    /// Inference buffer energy of one input.
+    buffer_pj: Pj,
 }
 
 impl BatchPrice {
@@ -46,11 +47,11 @@ impl BatchPrice {
 
     fn service_ns(&self, batch: usize) -> u64 {
         assert!(batch > 0, "need at least one input");
-        let latency_s = (self.fill_ns + (batch - 1) as f64 * self.interval_ns) * 1e-9;
-        ((latency_s * 1e9).ceil() as u64).max(1)
+        let latency_s = (self.fill_ns + (batch - 1) as f64 * self.interval_ns).to_seconds();
+        (latency_s.to_ns().0.ceil() as u64).max(1)
     }
 
-    fn energy_pj(&self, batch: usize) -> f64 {
+    fn energy_pj(&self, batch: usize) -> Pj {
         let b = batch as f64;
         b * self.forward_pj + b * self.buffer_pj
     }
@@ -73,8 +74,8 @@ pub struct Chip {
     pub completed_requests: u64,
     /// Batches served by this chip.
     pub batches_served: u64,
-    /// Accumulated crossbar + buffer energy, picojoules.
-    pub energy_pj: f64,
+    /// Accumulated crossbar + buffer energy.
+    pub energy_pj: Pj,
 }
 
 impl Chip {
@@ -87,7 +88,7 @@ impl Chip {
             busy_ns: 0,
             completed_requests: 0,
             batches_served: 0,
-            energy_pj: 0.0,
+            energy_pj: Pj::ZERO,
         }
     }
 
@@ -108,12 +109,12 @@ impl Chip {
     }
 
     /// Energy of serving one batch: per-input forward crossbar energy plus
-    /// the inference share of buffer traffic, picojoules.
+    /// the inference share of buffer traffic.
     ///
     /// # Panics
     ///
     /// Panics if `model` is not a catalog index.
-    pub fn batch_energy_pj(&self, model: usize, batch: usize) -> f64 {
+    pub fn batch_energy_pj(&self, model: usize, batch: usize) -> Pj {
         self.price(model).energy_pj(batch)
     }
 
@@ -270,11 +271,14 @@ mod tests {
             for (model, net) in catalog().iter().enumerate() {
                 let plan = ExecutionPlan::lower(net, config).expect("lowerable");
                 for batch in 1..=64 {
-                    let ns = (plan.batch_inference_latency_ns(batch).ceil() as u64).max(1);
+                    let ns = (plan.batch_inference_latency_ns(batch).0.ceil() as u64).max(1);
                     assert_eq!(chip.batch_service_ns(model, batch), ns);
                     let pj = plan.batch_forward_energy_pj(batch)
                         + batch as f64 * plan.inference_buffer_energy_pj();
-                    assert_eq!(chip.batch_energy_pj(model, batch).to_bits(), pj.to_bits());
+                    assert_eq!(
+                        chip.batch_energy_pj(model, batch).0.to_bits(),
+                        pj.0.to_bits()
+                    );
                 }
             }
         }
@@ -293,7 +297,7 @@ mod tests {
             // 8 together beat 8 separate dispatches.
             assert!(8 * chip.batch_service_ns(model, 1) > chip.batch_service_ns(model, 8));
             let e = chip.batch_energy_pj(model, 4);
-            assert!((e / 4.0 - chip.batch_energy_pj(model, 1)).abs() < 1e-6);
+            assert!((e / 4.0 - chip.batch_energy_pj(model, 1)).abs() < Pj(1e-6));
         }
         // AlexNet batches cost more than LeNet batches on the same chip.
         assert!(chip.batch_service_ns(1, 8) > chip.batch_service_ns(0, 8));

@@ -325,7 +325,7 @@ impl ServeSim {
                 } else {
                     c.busy_ns as f64 / makespan_ns as f64
                 },
-                energy_uj: c.energy_pj * 1e-6,
+                energy_uj: c.energy_pj.0 * 1e-6,
             })
             .collect();
         ServeReport {

@@ -42,7 +42,7 @@ fn main() {
             l.mapping.arrays,
             l.forward_mvms,
             l.forward_latency_ns,
-            l.forward_energy_pj,
+            l.forward_energy_pj.0,
             l.adc_conversions
         );
     }
@@ -56,8 +56,8 @@ fn main() {
     println!(
         "\ntraining {n} inputs at B={batch}: uniform macro-cycles {:.3} ms, \
          per-layer plan {:.3} ms ({:.2}x overstated)",
-        uniform_s * 1e3,
-        per_layer_s * 1e3,
+        uniform_s.0 * 1e3,
+        per_layer_s.0 * 1e3,
         uniform_s / per_layer_s
     );
 

@@ -70,7 +70,7 @@ fn main() {
         .times(100.0);
     println!(
         "\nDCGAN/celebA (100 iterations, batch 64): ReGAN {:.2} ms vs GPU {:.2} s -> {:.0}x speedup, {:.1}x energy saving",
-        report.time_s * 1e3,
+        report.time_s.0 * 1e3,
         gpu.time_s,
         report.speedup_vs(&gpu),
         report.energy_saving_vs(&gpu)

@@ -65,7 +65,7 @@ fn main() {
     println!(
         "training {} (512 inputs, batch 32): PipeLayer {:.3} ms vs GPU {:.1} ms -> {:.1}x speedup, {:.1}x energy saving",
         net.name,
-        report.time_s * 1e3,
+        report.time_s.0 * 1e3,
         gpu.time_s * 1e3,
         report.speedup_vs(&gpu),
         report.energy_saving_vs(&gpu)

@@ -70,8 +70,8 @@ fn main() {
     println!(
         "this run on PipeLayer: {} cycles, {:.3} ms, {:.3} mJ ({} arrays, {:.2} mm2)",
         report.cycles,
-        report.time_s * 1e3,
-        report.energy_j * 1e3,
+        report.time_s.0 * 1e3,
+        report.energy_j.0 * 1e3,
         report.arrays,
         report.area_mm2
     );

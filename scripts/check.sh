@@ -56,9 +56,6 @@ fi
 echo "== reram-lint (architectural invariants) =="
 cargo run --offline -q -p reram-lint || status=1
 
-echo "== reram-lint --plans (lowered-plan invariants) =="
-cargo run --offline -q -p reram-lint -- --plans || status=1
-
 echo "== cargo build --examples =="
 cargo build --offline -q --examples || status=1
 
