@@ -43,7 +43,6 @@ pub struct ReramDeviceModel {
     read_sigma: f64,
     rng: StdRng,
     writes: u64,
-    reads: u64,
 }
 
 impl ReramDeviceModel {
@@ -66,7 +65,6 @@ impl ReramDeviceModel {
             read_sigma,
             rng: StdRng::seed_from_u64(seed),
             writes: 0,
-            reads: 0,
         }
     }
 
@@ -109,17 +107,6 @@ impl ReramDeviceModel {
         }
     }
 
-    /// Reads a cell's conductance, adding read noise.
-    pub fn read(&mut self, cell: &ReramCell) -> f64 {
-        self.reads += 1;
-        telemetry::record(Event::CellRead, 1);
-        if self.read_sigma > 0.0 {
-            (cell.conductance + self.read_sigma * self.gaussian()).max(0.0)
-        } else {
-            cell.conductance
-        }
-    }
-
     /// Programs an *uncounted* dummy level-0 cell for read-noise sampling.
     ///
     /// Draws from the same RNG stream as [`program`](Self::program) but
@@ -137,10 +124,8 @@ impl ReramDeviceModel {
         }
     }
 
-    /// Additive read-noise sample for `cell`, without counting a read.
-    ///
-    /// Returns `read(cell) - cell.conductance()` using the same RNG stream
-    /// as [`read`](Self::read), leaving the read counter untouched.
+    /// Additive read-noise sample for `cell`: the sensed conductance,
+    /// clamped at zero, minus the programmed one. Zero on a noiseless read.
     pub fn read_noise(&mut self, cell: &ReramCell) -> f64 {
         if self.read_sigma > 0.0 {
             (cell.conductance + self.read_sigma * self.gaussian()).max(0.0) - cell.conductance
@@ -152,11 +137,6 @@ impl ReramDeviceModel {
     /// Total program operations issued (for endurance accounting).
     pub fn write_count(&self) -> u64 {
         self.writes
-    }
-
-    /// Total read operations issued.
-    pub fn read_count(&self) -> u64 {
-        self.reads
     }
 
     /// Whether the model adds any non-ideality.
@@ -182,7 +162,8 @@ mod tests {
         for level in 0..16 {
             let cell = dev.program(level);
             assert_eq!(cell.level(), level);
-            assert_eq!(dev.read(&cell), level as f64);
+            assert_eq!(cell.conductance(), level as f64);
+            assert_eq!(dev.read_noise(&cell), 0.0);
         }
         assert!(dev.is_ideal());
     }
@@ -205,11 +186,12 @@ mod tests {
     fn write_variation_is_frozen_per_cell() {
         let mut dev = ReramDeviceModel::new(4, 0.1, 0.0, 7);
         let cell = dev.program(8);
-        let first = dev.read(&cell);
-        // Non-volatility: every read of the same cell sees the same
+        let first = cell.conductance();
+        assert_ne!(first, 8.0);
+        // Non-volatility: every read of the same cell senses the same
         // (variation-shifted) conductance when read noise is off.
         for _ in 0..10 {
-            assert_eq!(dev.read(&cell), first);
+            assert_eq!(first + dev.read_noise(&cell), first);
         }
     }
 
@@ -217,11 +199,11 @@ mod tests {
     fn read_noise_varies_per_read() {
         let mut dev = ReramDeviceModel::new(4, 0.0, 0.1, 7);
         let cell = dev.program(8);
-        let a = dev.read(&cell);
-        let b = dev.read(&cell);
+        let a = dev.read_noise(&cell);
+        let b = dev.read_noise(&cell);
         assert_ne!(a, b);
-        // Both stay near the programmed level.
-        assert!((a - 8.0).abs() < 1.0 && (b - 8.0).abs() < 1.0);
+        // Both reads stay near the programmed level.
+        assert!(a.abs() < 1.0 && b.abs() < 1.0);
     }
 
     #[test]
@@ -242,36 +224,33 @@ mod tests {
         for _ in 0..500 {
             let cell = dev.program(0);
             assert!(cell.conductance() >= 0.0);
-            assert!(dev.read(&cell) >= 0.0);
+            assert!(cell.conductance() + dev.read_noise(&cell) >= 0.0);
         }
     }
 
     #[test]
-    fn counters_track_operations() {
-        let mut dev = ReramDeviceModel::new(4, 0.0, 0.0, 0);
+    fn write_count_tracks_programs_only() {
+        let mut dev = ReramDeviceModel::new(4, 0.0, 0.1, 0);
         let c = dev.program(3);
-        let _ = dev.read(&c);
-        let _ = dev.read(&c);
+        let _ = dev.read_noise(&c);
+        let _ = dev.noise_dummy();
         assert_eq!(dev.write_count(), 1);
-        assert_eq!(dev.read_count(), 2);
     }
 
     #[test]
-    fn noise_helpers_match_counted_path() {
-        // noise_dummy/read_noise must draw the same RNG stream as
-        // program(0)/read, differing only in what they count.
+    fn noise_dummy_matches_counted_program() {
+        // noise_dummy must draw the same RNG stream as program(0),
+        // differing only in that it counts no write.
         let mut counted = ReramDeviceModel::new(4, 0.1, 0.1, 42);
         let mut free = ReramDeviceModel::new(4, 0.1, 0.1, 42);
         let dummy_c = counted.program(0);
         let dummy_f = free.noise_dummy();
         assert_eq!(dummy_c.conductance(), dummy_f.conductance());
         for _ in 0..5 {
-            let a = counted.read(&dummy_c) - dummy_c.conductance();
-            let b = free.read_noise(&dummy_f);
-            assert_eq!(a, b);
+            assert_eq!(counted.read_noise(&dummy_c), free.read_noise(&dummy_f));
         }
+        assert_eq!(counted.write_count(), 1);
         assert_eq!(free.write_count(), 0);
-        assert_eq!(free.read_count(), 0);
     }
 
     #[test]

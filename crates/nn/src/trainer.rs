@@ -186,6 +186,13 @@ mod tests {
     use crate::models;
     use reram_tensor::{init, Shape4};
 
+    /// Installs a throwaway recorder for the caller's scope. Steps record
+    /// into the process-wide recorder, so a test that steps outside a scope
+    /// would add to `steps_emit_telemetry`'s tallies when both run at once.
+    fn own_recorder() -> telemetry::ScopedRecorder {
+        telemetry::scoped_recorder(std::sync::Arc::new(reram_telemetry::CounterRecorder::new()))
+    }
+
     #[test]
     fn lr_schedule() {
         let c = TrainConfig {
@@ -203,6 +210,7 @@ mod tests {
 
     #[test]
     fn trainer_records_history() {
+        let _recorder = own_recorder();
         let mut rng = init::seeded_rng(1);
         let mut net = models::mlp(8, &[16], 3, &mut rng);
         let mut trainer = Trainer::new(TrainConfig::default());
@@ -218,6 +226,7 @@ mod tests {
 
     #[test]
     fn training_descends_on_fixed_batch() {
+        let _recorder = own_recorder();
         let mut rng = init::seeded_rng(2);
         let mut net = models::mlp(8, &[16], 3, &mut rng);
         let x = init::uniform(Shape4::new(6, 8, 1, 1), -1.0, 1.0, &mut rng);

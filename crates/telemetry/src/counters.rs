@@ -35,7 +35,6 @@ impl CounterRecorder {
             dac_conversions: self.count(Event::DacConversion),
             adc_conversions: self.count(Event::AdcConversion),
             cell_writes: self.count(Event::CellWrite),
-            cell_reads: self.count(Event::CellRead),
             subarray_activations: self.count(Event::SubarrayActivation),
             buffer_reads: self.count(Event::BufferRead),
             buffer_writes: self.count(Event::BufferWrite),

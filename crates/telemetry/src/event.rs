@@ -1,7 +1,7 @@
 //! The hardware event vocabulary.
 
 /// Number of distinct [`Event`] kinds (array dimension for counter sinks).
-pub const EVENT_COUNT: usize = 14;
+pub const EVENT_COUNT: usize = 13;
 
 /// A countable hardware event in the simulated accelerator.
 ///
@@ -23,24 +23,22 @@ pub enum Event {
     AdcConversion = 3,
     /// One ReRAM cell programmed (SET/RESET pulse train).
     CellWrite = 4,
-    /// One ReRAM cell read outside an MVM (e.g. verify, checkpoint).
-    CellRead = 5,
     /// One subarray switched from idle to active duty.
-    SubarrayActivation = 6,
+    SubarrayActivation = 5,
     /// One value read from an inter-stage eDRAM/SRAM buffer.
-    BufferRead = 7,
+    BufferRead = 6,
     /// One value written to an inter-stage eDRAM/SRAM buffer.
-    BufferWrite = 8,
+    BufferWrite = 7,
     /// One layer's weights updated (one reprogramming campaign).
-    WeightUpdate = 9,
+    WeightUpdate = 8,
     /// One optimizer step over a minibatch.
-    TrainStep = 10,
+    TrainStep = 9,
     /// One inference/training request admitted into a serving queue.
-    RequestEnqueued = 11,
+    RequestEnqueued = 10,
     /// One dynamic batch closed and dispatched to a chip.
-    BatchFormed = 12,
+    BatchFormed = 11,
     /// One serving request completed (response ready).
-    RequestCompleted = 13,
+    RequestCompleted = 12,
 }
 
 impl Event {
@@ -51,7 +49,6 @@ impl Event {
         Event::DacConversion,
         Event::AdcConversion,
         Event::CellWrite,
-        Event::CellRead,
         Event::SubarrayActivation,
         Event::BufferRead,
         Event::BufferWrite,
@@ -75,7 +72,6 @@ impl Event {
             Event::DacConversion => "dac_conversions",
             Event::AdcConversion => "adc_conversions",
             Event::CellWrite => "cell_writes",
-            Event::CellRead => "cell_reads",
             Event::SubarrayActivation => "subarray_activations",
             Event::BufferRead => "buffer_reads",
             Event::BufferWrite => "buffer_writes",

@@ -11,8 +11,9 @@ use serde::{Deserialize, Serialize};
 /// Schema version stamped into every [`RunReport`]; bump on breaking shape
 /// changes so downstream tooling can detect mismatches. Version 2 added the
 /// serving-layer counters (`requests_enqueued`, `batches_formed`,
-/// `requests_completed`).
-pub const REPORT_SCHEMA_VERSION: u32 = 2;
+/// `requests_completed`); version 3 dropped `cell_reads`, which no
+/// simulated path ever counted.
+pub const REPORT_SCHEMA_VERSION: u32 = 3;
 
 /// Snapshot of every event counter (field names match [`crate::Event::name`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -22,7 +23,6 @@ pub struct EventCounts {
     pub dac_conversions: u64,
     pub adc_conversions: u64,
     pub cell_writes: u64,
-    pub cell_reads: u64,
     pub subarray_activations: u64,
     pub buffer_reads: u64,
     pub buffer_writes: u64,
@@ -41,7 +41,6 @@ impl EventCounts {
             + self.dac_conversions
             + self.adc_conversions
             + self.cell_writes
-            + self.cell_reads
             + self.subarray_activations
             + self.buffer_reads
             + self.buffer_writes

@@ -25,7 +25,6 @@ FIRST_PARTY=(
     reram-core
     reram-serve
     reram-bench
-    reram-lint
 )
 
 status=0
@@ -52,9 +51,6 @@ else
     echo "clippy is not installed; it enforces the abort and determinism policy"
     status=1
 fi
-
-echo "== reram-lint (architectural invariants) =="
-cargo run --offline -q -p reram-lint || status=1
 
 echo "== cargo build --examples =="
 cargo build --offline -q --examples || status=1
