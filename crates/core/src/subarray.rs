@@ -261,10 +261,10 @@ impl Bank {
                 dst_mem,
                 activation,
             } => {
-                let input = self.memory[src_mem].clone();
+                let input = &self.memory[src_mem];
                 self.stats.mem_traffic += input.len() as u64;
                 self.stats.mvms += 1;
-                let mut out = self.morphable[subarray].compute(&input);
+                let mut out = self.morphable[subarray].compute(input);
                 if let Some(a) = activation {
                     for v in &mut out {
                         *v = a.apply(*v);
@@ -279,10 +279,10 @@ impl Bank {
                 src_mem,
                 dst_mem,
             } => {
-                let error = self.memory[src_mem].clone();
+                let error = &self.memory[src_mem];
                 self.stats.mem_traffic += error.len() as u64;
                 self.stats.mvms += 1;
-                let out = self.morphable[subarray].compute_transposed(&error);
+                let out = self.morphable[subarray].compute_transposed(error);
                 self.stats.mem_traffic += out.len() as u64;
                 self.memory[dst_mem] = out;
                 None
@@ -296,7 +296,8 @@ impl Bank {
                 in_h,
                 in_w,
             } => {
-                let input = self.memory[src_mem].clone();
+                // Lent to the pooling tensor and put back: no copy.
+                let input = std::mem::take(&mut self.memory[src_mem]);
                 assert!(
                     k > 0 && stride > 0 && in_h >= k && in_w >= k,
                     "max_pool window {k} stride {stride} does not fit {in_h}x{in_w}"
@@ -310,6 +311,7 @@ impl Bank {
                 self.stats.mem_traffic += input.len() as u64;
                 let map = Tensor::from_vec(Shape4::new(1, c, in_h, in_w), input);
                 let out = ops::max_pool2d(&map, k, stride).0.into_vec();
+                self.memory[src_mem] = map.into_vec();
                 self.stats.mem_traffic += out.len() as u64;
                 self.memory[dst_mem] = out;
                 None

@@ -165,7 +165,6 @@ impl CrossbarArray {
             if !on {
                 continue;
             }
-            self.spike_count += 1;
             let base = r * self.cols;
             for (c, cur) in currents.iter_mut().enumerate() {
                 *cur += self.cells[base + c].conductance();
@@ -202,20 +201,8 @@ impl CrossbarArray {
             codes.len(),
             self.rows
         );
-        self.mvm_count += 1;
+        self.record_mvm(codes, input_bits);
         let train = SpikeTrain::encode(codes, input_bits);
-        // Batched: one recorder acquisition for the whole MVM. Each of the
-        // `input_bits` frames drives every bitline through one I&F
-        // conversion, so conversions = frames x cols (core::timing's
-        // closed form).
-        telemetry::with_recorder(|t| {
-            t.record(Event::CrossbarMvm, 1);
-            t.record(Event::SpikeFrame, train.num_frames() as u64);
-            t.record(
-                Event::AdcConversion,
-                (train.num_frames() * self.cols) as u64,
-            );
-        });
         let mut inf = IntegrateFire::new();
         let mut acc = vec![0u64; self.cols];
         for t in 0..train.num_frames() {
@@ -226,6 +213,44 @@ impl CrossbarArray {
             }
         }
         acc
+    }
+
+    /// Books one spike-coded MVM over `codes`: the array's MVM and spike
+    /// counters and the telemetry of its closed-form circuit activity. The
+    /// bit-serial [`mvm_codes`](Self::mvm_codes) and the folded exact path
+    /// of [`crate::tile::TiledMatrix`] both book through here, so their
+    /// counts cannot drift apart.
+    ///
+    /// `codes` are the driven wordlines' input codes; trailing padding
+    /// wordlines carry code 0 and may be left out. Every one of the `rows`
+    /// wordlines still gets one DAC drive, each of the `input_bits` frames
+    /// one I&F conversion per bitline, and every set code bit one spike.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a code needs more than `input_bits` bits.
+    pub(crate) fn record_mvm(&mut self, codes: &[u64], input_bits: u32) {
+        debug_assert!(codes.len() <= self.rows);
+        let limit = if input_bits >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << input_bits) - 1
+        };
+        let mut spikes = 0u64;
+        for &c in codes {
+            assert!(c <= limit, "code {c} exceeds {input_bits} input bits");
+            spikes += u64::from(c.count_ones());
+        }
+        self.mvm_count += 1;
+        self.spike_count += spikes;
+        let frames = u64::from(input_bits);
+        // Batched: one recorder acquisition for the whole MVM.
+        telemetry::with_recorder(|t| {
+            t.record(Event::CrossbarMvm, 1);
+            t.record(Event::SpikeFrame, frames);
+            t.record(Event::DacConversion, self.rows as u64);
+            t.record(Event::AdcConversion, frames * self.cols as u64);
+        });
     }
 
     /// Number of MVM operations performed.

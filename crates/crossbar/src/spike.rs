@@ -7,8 +7,6 @@
 //! of each cycle into output spikes tallied by a counter, "essentially
 //! converting the analog currents into digital values".
 
-use reram_telemetry::{self as telemetry, Event};
-
 /// Encodes unsigned integer input codes into bit-serial spike frames.
 ///
 /// Frame `t` holds one boolean per wordline: whether bit `t` of that input
@@ -32,9 +30,6 @@ impl SpikeTrain {
         } else {
             (1u64 << input_bits) - 1
         };
-        // The spike driver is the digital-to-analog boundary: one input code
-        // per wordline becomes a weighted spike train.
-        telemetry::record(Event::DacConversion, codes.len() as u64);
         let mut total = 0u64;
         let frames = (0..input_bits)
             .map(|t| {

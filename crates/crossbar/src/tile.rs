@@ -32,7 +32,40 @@ pub struct TiledMatrix {
     /// magnitudes of positive / negative weights of that tile.
     pos: Vec<CrossbarArray>,
     neg: Vec<CrossbarArray>,
+    /// On an ideal device (no write or read noise), the grid folded into
+    /// one signed integer matrix, `out × in` row-major:
+    /// `Σ_k 2^(k·cell_bits)·(pos_level − neg_level)` over a weight's bit
+    /// slices, read from the cells' effective (stuck-at included) levels.
+    /// `None` on a noisy device, whose products stay bit-serial.
+    folded: Option<Vec<i64>>,
+    scratch: Scratch,
     reprogram_count: u64,
+}
+
+/// Buffers the product kernels reuse from call to call.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Signed input codes of the current row.
+    codes: Vec<i64>,
+    /// One input polarity's codes (magnitudes of one sign, others 0).
+    polarity: Vec<u64>,
+    /// One row tile's wordline codes, zero-padded to the array height.
+    wordlines: Vec<u64>,
+    /// Merged integer outputs of the current row.
+    acc: Vec<i128>,
+}
+
+/// One mapped cell as [`TiledMatrix::for_each_cell`] reports it.
+#[derive(Debug, Clone, Copy)]
+struct CellSite {
+    /// Grid index `rt * col_tiles + ct` of the array pair.
+    array: usize,
+    row: usize,
+    col: usize,
+    /// Row-major index of the cell's weight in the `out × in` matrix.
+    entry: usize,
+    /// Binary weight of the cell's bit slice: `k · cell_bits`.
+    shift: u32,
 }
 
 impl TiledMatrix {
@@ -58,6 +91,7 @@ impl TiledMatrix {
         let logical_cols = config.logical_cols();
         let row_tiles = in_dim.div_ceil(config.rows);
         let col_tiles = out_dim.div_ceil(logical_cols);
+        let ideal = config.write_sigma == 0.0 && config.read_sigma == 0.0;
 
         let mut this = Self {
             config: config.clone(),
@@ -68,6 +102,8 @@ impl TiledMatrix {
             col_tiles,
             pos: Vec::with_capacity(row_tiles * col_tiles),
             neg: Vec::with_capacity(row_tiles * col_tiles),
+            folded: ideal.then(|| vec![0; out_dim * in_dim]),
+            scratch: Scratch::default(),
             reprogram_count: 0,
         };
         for i in 0..row_tiles * col_tiles {
@@ -131,55 +167,105 @@ impl TiledMatrix {
         }
         self.reprogram_count += 1;
         telemetry::record(Event::WeightUpdate, 1);
-        // The walk reads the grid geometry while the sink tunes the arrays.
+        // The walk reads the grid geometry while the sink tunes the arrays
+        // and moves each touched weight of the fold by its cells' change.
         let (mut pos, mut neg) = (std::mem::take(&mut self.pos), std::mem::take(&mut self.neg));
+        let mut folded = self.folded.take();
         let mut pulses = 0u64;
-        self.for_each_cell(w, |idx, r, col, p, n| {
-            for (array, level) in [(&mut pos[idx], p), (&mut neg[idx], n)] {
-                if array.level_at(r, col) != level {
-                    array.program_cell(r, col, level);
+        self.for_each_cell(w, |site, p, n| {
+            for (sign, array, level) in
+                [(1, &mut pos[site.array], p), (-1, &mut neg[site.array], n)]
+            {
+                let before = array.level_at(site.row, site.col);
+                if before != level {
+                    array.program_cell(site.row, site.col, level);
                     pulses += 1;
+                    if let Some(f) = folded.as_mut() {
+                        let after = array.level_at(site.row, site.col);
+                        f[site.entry] +=
+                            sign * ((i64::from(after) - i64::from(before)) << site.shift);
+                    }
                 }
             }
         });
-        (self.pos, self.neg) = (pos, neg);
+        (self.pos, self.neg, self.folded) = (pos, neg, folded);
         pulses
     }
 
     /// Programs every array from `w` in full: mapped cells get their
-    /// levels, every other cell level 0.
+    /// levels, every other cell level 0. Then refolds the ideal grid.
     fn write_levels(&mut self, w: &Matrix) {
         let cells = self.config.rows * self.config.cols;
         let mut pos_levels = vec![0u32; self.pos.len() * cells];
         let mut neg_levels = vec![0u32; self.neg.len() * cells];
         let cols = self.config.cols;
-        self.for_each_cell(w, |idx, r, col, p, n| {
-            pos_levels[idx * cells + r * cols + col] = p;
-            neg_levels[idx * cells + r * cols + col] = n;
+        self.for_each_cell(w, |site, p, n| {
+            let i = site.array * cells + site.row * cols + site.col;
+            pos_levels[i] = p;
+            neg_levels[i] = n;
         });
         let levels = pos_levels.chunks(cells).zip(neg_levels.chunks(cells));
         for ((pos, neg), (p, n)) in self.pos.iter_mut().zip(&mut self.neg).zip(levels) {
             pos.program(p);
             neg.program(n);
         }
+        if let Some(mut folded) = self.folded.take() {
+            let (slices, cell_bits) = (self.config.slices_per_weight(), self.config.cell_bits);
+            self.for_each_weight(|array, row, col, entry| {
+                let (p, n) = (&self.pos[array], &self.neg[array]);
+                folded[entry] = (0..slices)
+                    .map(|k| {
+                        let diff = i64::from(p.level_at(row, col + k))
+                            - i64::from(n.level_at(row, col + k));
+                        diff << (k as u32 * cell_bits)
+                    })
+                    .sum();
+            });
+            self.folded = Some(folded);
+        }
     }
 
     /// The one place cell levels come from weights. Quantizes `w` with the
     /// grid's current scale, splits each weight into its differential pair
-    /// and bit slices, and calls `visit(array, wordline, bitline, pos, neg)`
-    /// for every mapped cell. Arrays come in grid order
-    /// (`rt * col_tiles + ct`) and each array's cells in row-major order —
-    /// the order its device RNG draws programming variation in.
-    fn for_each_cell(&self, w: &Matrix, mut visit: impl FnMut(usize, usize, usize, u32, u32)) {
+    /// and bit slices, and calls `visit(site, pos, neg)` for every mapped
+    /// cell: in [`for_each_weight`](Self::for_each_weight) order, a
+    /// weight's slices on adjacent bitlines, lowest first.
+    fn for_each_cell(&self, w: &Matrix, mut visit: impl FnMut(CellSite, u32, u32)) {
         let slices = self.config.slices_per_weight();
         let cell_bits = self.config.cell_bits;
+        self.for_each_weight(|array, row, col, entry| {
+            let q = self.weight_quant.quantize(w.data()[entry]);
+            let (p, n) = differential_split(q);
+            let p = slice_magnitude(p, cell_bits, slices);
+            let n = slice_magnitude(n, cell_bits, slices);
+            for (k, (&ps, &ns)) in p.iter().zip(&n).enumerate() {
+                let site = CellSite {
+                    array,
+                    row,
+                    col: col + k,
+                    entry,
+                    shift: k as u32 * cell_bits,
+                };
+                visit(site, ps, ns);
+            }
+        });
+    }
+
+    /// The grid layout: calls `visit(array, wordline, bitline, entry)` for
+    /// every mapped weight, where `bitline` is the first of the weight's
+    /// slice bitlines and `entry` its row-major index in the `out × in`
+    /// matrix. Arrays come in grid order (`rt * col_tiles + ct`) and each
+    /// array's weights in row-major order — the order its device RNG draws
+    /// programming variation in.
+    fn for_each_weight(&self, mut visit: impl FnMut(usize, usize, usize, usize)) {
+        let slices = self.config.slices_per_weight();
         let logical_cols = self.config.logical_cols();
         let rows = self.config.rows;
         for rt in 0..self.row_tiles {
             for ct in 0..self.col_tiles {
-                let idx = rt * self.col_tiles + ct;
-                for r in 0..rows {
-                    let in_idx = rt * rows + r;
+                let array = rt * self.col_tiles + ct;
+                for row in 0..rows {
+                    let in_idx = rt * rows + row;
                     if in_idx >= self.in_dim {
                         break;
                     }
@@ -188,13 +274,7 @@ impl TiledMatrix {
                         if out_idx >= self.out_dim {
                             break;
                         }
-                        let q = self.weight_quant.quantize(w.at(out_idx, in_idx));
-                        let (p, n) = differential_split(q);
-                        let p = slice_magnitude(p, cell_bits, slices);
-                        let n = slice_magnitude(n, cell_bits, slices);
-                        for (k, (&ps, &ns)) in p.iter().zip(&n).enumerate() {
-                            visit(idx, r, j * slices + k, ps, ns);
-                        }
+                        visit(array, row, j * slices, out_idx * self.in_dim + in_idx);
                     }
                 }
             }
@@ -237,70 +317,108 @@ impl TiledMatrix {
     /// every row tile as spike trains, and the per-array partial sums are
     /// merged (bit-slice weights within an array, subtraction across the
     /// differential pair, addition across row tiles) before dequantization.
+    /// On an ideal device the merged sum is computed from the folded
+    /// integer matrix instead, with the same result and the same counts.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.in_dim()`.
     pub fn matvec(&mut self, x: &[f32]) -> Vec<f32> {
+        let mut s = std::mem::take(&mut self.scratch);
+        let scale = self.product(x, &mut s);
+        let y = s.acc.iter().map(|&v| v as f32 * scale).collect();
+        self.scratch = s;
+        y
+    }
+
+    /// Batched product: row `b` of the result is
+    /// [`matvec`](Self::matvec) of row `b` of `xs`, each row with its own
+    /// input quantizer.
+    ///
+    /// `xs` is `(batch × in)`; the result is `(batch × out)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.cols() != self.in_dim()`.
+    pub fn matmul_rows(&mut self, xs: &Matrix) -> Matrix {
+        let mut out = Vec::with_capacity(xs.rows() * self.out_dim);
+        let mut s = std::mem::take(&mut self.scratch);
+        for r in 0..xs.rows() {
+            let scale = self.product(xs.row(r), &mut s);
+            out.extend(s.acc.iter().map(|&v| v as f32 * scale));
+        }
+        self.scratch = s;
+        Matrix::from_vec(reram_tensor::Shape2::new(xs.rows(), self.out_dim), out)
+    }
+
+    /// Integer product of one input row into `s.acc`; returns the scale
+    /// that dequantizes it.
+    ///
+    /// Positive input magnitudes add and negative ones subtract, one
+    /// polarity pass each; a row tile whose wordline codes are all zero is
+    /// skipped. On a noisy device every remaining pair of array calls runs
+    /// bit-serially ([`CrossbarArray::mvm_codes`]). On an ideal device each
+    /// array's I&F count is the exact integer `Σ_r level[r][c]·x_r`, so the
+    /// merged sum equals `Σ_i folded[o][i]·x_i` over the signed codes — one
+    /// pass over the folded matrix — and each array call only books its
+    /// counts.
+    fn product(&mut self, x: &[f32], s: &mut Scratch) -> f32 {
         assert_eq!(
             x.len(),
             self.in_dim,
-            "matvec: input length {} vs in_dim {}",
+            "input length {} vs in_dim {}",
             x.len(),
             self.in_dim
         );
         let abs_max = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
         let input_quant = Quantizer::fit(self.config.input_bits, abs_max);
-        let codes: Vec<i64> = x.iter().map(|&v| input_quant.quantize(v)).collect();
-
-        let mut acc = vec![0i128; self.out_dim];
-        // Two polarity passes: positive input magnitudes add, negative subtract.
-        for (sign, polarity_codes) in [
-            (
-                1i128,
-                codes.iter().map(|&q| q.max(0) as u64).collect::<Vec<_>>(),
-            ),
-            (
-                -1i128,
-                codes
+        s.codes.clear();
+        s.codes.extend(x.iter().map(|&v| input_quant.quantize(v)));
+        s.acc.clear();
+        s.acc.resize(self.out_dim, 0);
+        if let Some(folded) = &self.folded {
+            for (a, w) in s.acc.iter_mut().zip(folded.chunks_exact(self.in_dim)) {
+                *a = w
                     .iter()
-                    .map(|&q| (-q).max(0) as u64)
-                    .collect::<Vec<_>>(),
-            ),
-        ] {
-            if polarity_codes.iter().all(|&c| c == 0) {
-                continue;
+                    .zip(&s.codes)
+                    .map(|(&w, &q)| i128::from(w) * i128::from(q))
+                    .sum();
             }
-            self.accumulate_polarity(&polarity_codes, sign, &mut acc);
         }
-
-        let scale = self.weight_quant.scale() * input_quant.scale();
-        acc.iter().map(|&v| v as f32 * scale).collect()
+        for sign in [1i64, -1] {
+            s.polarity.clear();
+            s.polarity
+                .extend(s.codes.iter().map(|&q| (sign * q).max(0) as u64));
+            self.accumulate_polarity(sign, s);
+        }
+        self.weight_quant.scale() * input_quant.scale()
     }
 
-    fn accumulate_polarity(&mut self, codes: &[u64], sign: i128, acc: &mut [i128]) {
+    /// One input polarity (`s.polarity`) through every non-zero row tile.
+    fn accumulate_polarity(&mut self, sign: i64, s: &mut Scratch) {
         let rows = self.config.rows;
         let slices = self.config.slices_per_weight();
         let cell_bits = self.config.cell_bits;
         let logical_cols = self.config.logical_cols();
         let input_bits = self.config.input_bits;
 
-        for rt in 0..self.row_tiles {
-            // Chunk of the input vector on this tile's wordlines, zero-padded.
-            let mut chunk = vec![0u64; rows];
-            for r in 0..rows {
-                let idx = rt * rows + r;
-                if idx < self.in_dim {
-                    chunk[r] = codes[idx];
-                }
-            }
+        for (rt, chunk) in s.polarity.chunks(rows).enumerate() {
             if chunk.iter().all(|&c| c == 0) {
                 continue;
             }
             for ct in 0..self.col_tiles {
                 let idx = rt * self.col_tiles + ct;
-                let p = self.pos[idx].mvm_codes(&chunk, input_bits);
-                let n = self.neg[idx].mvm_codes(&chunk, input_bits);
+                if self.folded.is_some() {
+                    self.pos[idx].record_mvm(chunk, input_bits);
+                    self.neg[idx].record_mvm(chunk, input_bits);
+                    continue;
+                }
+                // The tile's wordlines, zero-padded past the input's end.
+                s.wordlines.clear();
+                s.wordlines.extend_from_slice(chunk);
+                s.wordlines.resize(rows, 0);
+                let p = self.pos[idx].mvm_codes(&s.wordlines, input_bits);
+                let n = self.neg[idx].mvm_codes(&s.wordlines, input_bits);
                 for j in 0..logical_cols {
                     let out_idx = ct * logical_cols + j;
                     if out_idx >= self.out_dim {
@@ -313,25 +431,10 @@ impl TiledMatrix {
                         let col = j * slices + k;
                         partial += weight * (p[col] as i128 - n[col] as i128);
                     }
-                    acc[out_idx] += sign * partial;
+                    s.acc[out_idx] += i128::from(sign) * partial;
                 }
             }
         }
-    }
-
-    /// Batched product: one [`matvec`](Self::matvec) per row of `xs`.
-    ///
-    /// `xs` is `(batch × in)`; the result is `(batch × out)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.cols() != self.in_dim()`.
-    pub fn matmul_rows(&mut self, xs: &Matrix) -> Matrix {
-        let mut out = Vec::with_capacity(xs.rows() * self.out_dim);
-        for r in 0..xs.rows() {
-            out.extend(self.matvec(xs.row(r)));
-        }
-        Matrix::from_vec(reram_tensor::Shape2::new(xs.rows(), self.out_dim), out)
     }
 
     /// Total wordline spikes driven across all arrays (energy proxy).
@@ -356,7 +459,13 @@ impl TiledMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use reram_telemetry::{CounterRecorder, Recorder, EVENT_COUNT};
     use reram_tensor::Shape2;
+    use std::sync::Arc;
+    use std::thread::ThreadId;
 
     fn test_config() -> CrossbarConfig {
         CrossbarConfig {
@@ -569,5 +678,168 @@ mod tests {
         for (a, b) in yi.iter().zip(&yn) {
             assert!((a - b).abs() < 0.5, "ideal {a} vs noisy {b}");
         }
+    }
+
+    /// A counter that keeps only the installing thread's events, so the
+    /// unscoped products of tests running alongside cannot leak in.
+    struct ThreadCounter {
+        owner: ThreadId,
+        counts: CounterRecorder,
+    }
+
+    impl Recorder for ThreadCounter {
+        fn record(&self, event: Event, count: u64) {
+            if std::thread::current().id() == self.owner {
+                self.counts.record(event, count);
+            }
+        }
+    }
+
+    /// Runs `f` under a scoped counter; returns its result and every tally.
+    fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; EVENT_COUNT]) {
+        let counter = Arc::new(ThreadCounter {
+            owner: std::thread::current().id(),
+            counts: CounterRecorder::new(),
+        });
+        let out = {
+            let _guard = telemetry::scoped_recorder(counter.clone());
+            f()
+        };
+        (out, Event::ALL.map(|e| counter.counts.count(e)))
+    }
+
+    /// What one program → matvec → reprogram → matvec → in-range delta →
+    /// matvec → fallback delta → matvec → `matmul_rows` sequence produces.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct Trace {
+        outputs: Vec<Vec<u32>>,
+        pulses: Vec<u64>,
+        spikes: Vec<u64>,
+        mvms: Vec<Vec<u64>>,
+        writes: u64,
+    }
+
+    fn observe(t: &TiledMatrix, trace: &mut Trace, y: &[f32]) {
+        trace.outputs.push(y.iter().map(|v| v.to_bits()).collect());
+        trace.spikes.push(t.total_spikes());
+        let mvms = t.pos.iter().chain(&t.neg).map(CrossbarArray::mvm_count);
+        trace.mvms.push(mvms.collect());
+    }
+
+    /// Drives the sequence on `t`. With `bit_serial`, the fold is dropped
+    /// right after programming, so every product takes the bit-serial
+    /// reference path of the same cells.
+    fn drive(mut t: TiledMatrix, bit_serial: bool, weights: &[Matrix; 3], xs: &Matrix) -> Trace {
+        if bit_serial {
+            t.folded = None;
+        }
+        let mut trace = Trace::default();
+        let x = xs.row(0);
+        let y = t.matvec(x);
+        observe(&t, &mut trace, &y);
+        t.reprogram(&weights[0]);
+        let y = t.matvec(x);
+        observe(&t, &mut trace, &y);
+        for w in &weights[1..] {
+            trace.pulses.push(t.reprogram_delta(w));
+            let y = t.matvec(x);
+            observe(&t, &mut trace, &y);
+        }
+        let ys = t.matmul_rows(xs);
+        observe(&t, &mut trace, ys.data());
+        trace.writes = t.total_writes();
+        trace
+    }
+
+    /// Signed values in `[-1, 1]`, a quarter of them exactly zero.
+    fn signed(rng: &mut StdRng) -> f32 {
+        if rng.gen_bool(0.25) {
+            0.0
+        } else {
+            rng.gen_range(-1.0f32..=1.0)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// On ideal devices, faults allowed, the folded product is bit
+        /// for bit the bit-serial one, with the same spike, MVM, pulse,
+        /// write and telemetry counts, through every way of writing cells.
+        #[test]
+        fn folded_product_is_bit_identical_to_bit_serial(
+            cell_bits in 1u32..=8,
+            weight_bits in 2u32..=32,
+            input_bits in 2u32..=32,
+            rows in 1usize..=9,
+            logical_cols in 1usize..=3,
+            spare_cols in 0usize..=3,
+            out_dim in 1usize..=9,
+            in_dim in 1usize..=20,
+            stuck_off in 0.0f64..0.25,
+            stuck_on in 0.0f64..0.25,
+            seed in 0u64..u64::MAX,
+        ) {
+            let slices = weight_bits.div_ceil(cell_bits) as usize;
+            let config = CrossbarConfig {
+                rows,
+                cols: slices * logical_cols + spare_cols,
+                cell_bits,
+                weight_bits,
+                input_bits,
+                ..CrossbarConfig::default()
+            }
+            .with_faults(stuck_off, stuck_on, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shape = Shape2::new(out_dim, in_dim);
+            let w1 = Matrix::from_fn(shape, |_, _| signed(&mut rng));
+            let w2 = Matrix::from_fn(shape, |_, _| signed(&mut rng));
+            // In range: every weight halved, negated or kept, the largest
+            // halved so none can pass the full scale.
+            let big = w2.data().iter().map(|v| v.abs()).fold(0.0f32, f32::max);
+            let mut w3 = w2.clone();
+            for v in w3.data_mut() {
+                *v = match rng.gen_range(0..3) {
+                    _ if v.abs() == big => *v * 0.5,
+                    0 => *v * 0.5,
+                    1 => -*v,
+                    _ => *v,
+                };
+            }
+            // Past the full scale: the full-reprogram fallback.
+            let mut w4 = w3.clone();
+            w4.set(rng.gen_range(0..out_dim), rng.gen_range(0..in_dim), 4.0);
+            // Rows: mixed signs, one silent row tile, non-negative only,
+            // all zero.
+            let xs = Matrix::from_fn(Shape2::new(4, in_dim), |r, c| match r {
+                1 if c < rows => 0.0,
+                2 => signed(&mut rng).abs(),
+                3 => 0.0,
+                _ => signed(&mut rng),
+            });
+            let weights = [w2, w3, w4];
+            let grid = TiledMatrix::program(&w1, &config);
+            prop_assert!(grid.folded.is_some());
+            let (fast, fast_counts) = counted(|| drive(grid.clone(), false, &weights, &xs));
+            let (slow, slow_counts) = counted(|| drive(grid, true, &weights, &xs));
+            prop_assert_eq!(fast, slow);
+            prop_assert_eq!(fast_counts, slow_counts);
+        }
+    }
+
+    #[test]
+    fn noisy_grid_keeps_no_fold() {
+        let w = pattern_matrix(3, 4);
+        for cfg in [
+            test_config().with_noise(0.01, 0.0, 1),
+            test_config().with_noise(0.0, 0.01, 1),
+        ] {
+            assert!(TiledMatrix::program(&w, &cfg).folded.is_none());
+        }
+        assert!(
+            TiledMatrix::program(&w, &test_config().with_faults(0.1, 0.1, 1))
+                .folded
+                .is_some()
+        );
     }
 }

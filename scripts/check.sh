@@ -66,6 +66,21 @@ cargo test --offline -q --no-fail-fast "${pkg_flags[@]}" || status=1
 echo "== cargo build perfbench (compile only) =="
 cargo build --offline -q --manifest-path perfbench/Cargo.toml || status=1
 
+# Smoke runs: perfbench checks every crossbar inference against its float
+# reference within its tolerance, and its last line reports the verdict.
+echo "== perfbench xbar-infer smoke runs =="
+for trace in 0 1; do
+    last=$(cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
+        --workload xbar-infer --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
+    case "$last" in
+        '{"correct": true,'*) ;;
+        *)
+            echo "perfbench --trace $trace: ${last:-no output}"
+            status=1
+            ;;
+    esac
+done
+
 if rustdoc --version >/dev/null 2>&1; then
     echo "== cargo doc -D warnings =="
     pkg_flags=()
