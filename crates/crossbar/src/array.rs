@@ -6,7 +6,6 @@
 //! viewed as the result of the matrix-vector multiplication."
 
 use crate::device::{ReramCell, ReramDeviceModel};
-use crate::spike::{IntegrateFire, SpikeTrain};
 use crate::CrossbarConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,73 +142,37 @@ impl CrossbarArray {
         self.cells[row * self.cols + col].level()
     }
 
-    /// One analog frame: bitline currents with the given wordlines active.
+    /// Full spike-coded matrix-vector multiplication: the spike driver and
+    /// integrate-and-fire (I&F) readout of §III-A.3 (a, b).
     ///
-    /// Returns `cols` currents, each the sum of active cells' conductances.
-    /// Read noise (if configured) is drawn once per bitline per frame,
-    /// modelling integrated current noise at the I&F input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active.len() != rows`.
-    pub fn bitline_currents(&mut self, active: &[bool]) -> Vec<f64> {
-        assert_eq!(
-            active.len(),
-            self.rows,
-            "bitline_currents: {} wordline states for {} rows",
-            active.len(),
-            self.rows
-        );
-        let mut currents = vec![0.0f64; self.cols];
-        for (r, &on) in active.iter().enumerate() {
-            if !on {
-                continue;
-            }
-            let base = r * self.cols;
-            for (c, cur) in currents.iter_mut().enumerate() {
-                *cur += self.cells[base + c].conductance();
-            }
-        }
-        if !self.device.is_ideal() {
-            // One equivalent read-noise draw per bitline; a dummy level-0
-            // cell turns the device's read noise into additive current noise.
-            // The dummy is a readout artifact: it must not count as cell
-            // write/read traffic in endurance or telemetry accounting.
-            let dummy = self.device.noise_dummy();
-            for cur in &mut currents {
-                *cur += self.device.read_noise(&dummy);
-            }
-        }
-        currents
-    }
-
-    /// Full spike-coded matrix-vector multiplication.
-    ///
-    /// Encodes `codes` (one unsigned integer per wordline) as a weighted
-    /// spike train, integrates every frame through I&F counters, and merges
-    /// the per-frame counts with binary weights. Returns one accumulated
-    /// count per bitline: `y_c = Σ_t 2^t · IF(Σ_r g[r][c] · bit_t(x_r))`.
+    /// `codes` holds one unsigned input code per driven wordline; wordlines
+    /// past `codes.len()` stay idle. Frame `t` of `input_bits` fires every
+    /// wordline whose code has bit `t` set and sums the active cells'
+    /// conductances on each bitline. The device adds the frame's read
+    /// noise, I&F converts each current to a spike count, and the counts
+    /// merge with weight `2^t`. Returns one count per bitline:
+    /// `y_c = Σ_t 2^t · IF(Σ_r g[r][c] · bit_t(x_r))`.
     ///
     /// # Panics
     ///
-    /// Panics if `codes.len() != rows` or a code exceeds `input_bits`.
+    /// Panics if there are more codes than rows or a code exceeds
+    /// `input_bits`.
     pub fn mvm_codes(&mut self, codes: &[u64], input_bits: u32) -> Vec<u64> {
-        assert_eq!(
-            codes.len(),
-            self.rows,
-            "mvm_codes: {} codes for {} rows",
-            codes.len(),
-            self.rows
-        );
         self.record_mvm(codes, input_bits);
-        let train = SpikeTrain::encode(codes, input_bits);
-        let mut inf = IntegrateFire::new();
         let mut acc = vec![0u64; self.cols];
-        for t in 0..train.num_frames() {
-            let currents = self.bitline_currents(train.frame(t));
-            let w = train.frame_weight(t);
-            for (a, cur) in acc.iter_mut().zip(currents) {
-                *a += inf.convert(cur) * w;
+        let mut currents = vec![0.0f64; self.cols];
+        for t in 0..input_bits {
+            currents.fill(0.0);
+            for (row, &code) in self.cells.chunks_exact(self.cols).zip(codes) {
+                if (code >> t) & 1 == 1 {
+                    for (cur, cell) in currents.iter_mut().zip(row) {
+                        *cur += cell.conductance();
+                    }
+                }
+            }
+            self.device.add_read_noise(&mut currents);
+            for (a, &cur) in acc.iter_mut().zip(&currents) {
+                *a += integrate_fire(cur) * (1 << t);
             }
         }
         acc
@@ -221,16 +184,21 @@ impl CrossbarArray {
     /// of [`crate::tile::TiledMatrix`] both book through here, so their
     /// counts cannot drift apart.
     ///
-    /// `codes` are the driven wordlines' input codes; trailing padding
-    /// wordlines carry code 0 and may be left out. Every one of the `rows`
-    /// wordlines still gets one DAC drive, each of the `input_bits` frames
+    /// `codes` are the driven wordlines' input codes; wordlines past them
+    /// stay idle. Every one of the `rows` wordlines still gets one DAC drive, each of the `input_bits` frames
     /// one I&F conversion per bitline, and every set code bit one spike.
     ///
     /// # Panics
     ///
-    /// Panics if a code needs more than `input_bits` bits.
+    /// Panics if there are more codes than rows or a code needs more than
+    /// `input_bits` bits.
     pub(crate) fn record_mvm(&mut self, codes: &[u64], input_bits: u32) {
-        debug_assert!(codes.len() <= self.rows);
+        assert!(
+            codes.len() <= self.rows,
+            "{} codes for {} rows",
+            codes.len(),
+            self.rows
+        );
         let limit = if input_bits >= 64 {
             u64::MAX
         } else {
@@ -269,9 +237,19 @@ impl CrossbarArray {
     }
 }
 
+/// I&F conversion of one frame's integrated bitline current into a spike
+/// count: rounded to the nearest unit and clamped at zero. An ideal
+/// device's frame current is an exact integer, so the count is exact; with
+/// noise this rounding is the quantization the physical I&F applies.
+fn integrate_fire(current: f64) -> u64 {
+    current.round().max(0.0) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::counted;
+    use reram_telemetry::EVENT_COUNT;
 
     fn small_config() -> CrossbarConfig {
         CrossbarConfig {
@@ -302,14 +280,27 @@ mod tests {
     }
 
     #[test]
-    fn bitline_current_sums_active_rows() {
+    fn frame_t_sums_active_rows_with_weight_two_to_the_t() {
         let mut a = CrossbarArray::new(&small_config());
-        let levels: Vec<u32> = (0..16).map(|i| i % 16).collect();
+        let levels: Vec<u32> = (0..16).collect();
         a.program(&levels);
-        // Activate rows 0 and 2: column c current = levels[c] + levels[8+c].
-        let currents = a.bitline_currents(&[true, false, true, false]);
-        for c in 0..4 {
-            assert_eq!(currents[c], (c + (8 + c)) as f64);
+        for t in 0..4 {
+            // Rows 0 and 2 fire in frame t only; row 3 stays idle.
+            let y = a.mvm_codes(&[1 << t, 0, 1 << t], 4);
+            for c in 0..4 {
+                assert_eq!(y[c], ((c + (8 + c)) << t) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn integrate_fire_rounds_and_clamps() {
+        assert_eq!(integrate_fire(3.4), 3);
+        assert_eq!(integrate_fire(3.6), 4);
+        assert_eq!(integrate_fire(2.5), 3);
+        assert_eq!(integrate_fire(-0.7), 0);
+        for i in 0..100u64 {
+            assert_eq!(integrate_fire(i as f64), i);
         }
     }
 
@@ -346,6 +337,36 @@ mod tests {
         assert_eq!(a.spike_count(), 8);
         // writes = initial 16 + programmed 16
         assert_eq!(a.write_count(), 32);
+        // Zero codes fire no spike and read nothing.
+        assert_eq!(a.mvm_codes(&[0; 4], 4), [0; 4]);
+        assert_eq!((a.mvm_count(), a.spike_count()), (2, 8));
+    }
+
+    /// Two calls of `codes` on a fresh, programmed array: both outputs (the
+    /// second from wherever the first left the RNG), the MVM and spike
+    /// counts, and the telemetry tallies.
+    fn twice(cfg: &CrossbarConfig, codes: &[u64]) -> (Vec<Vec<u64>>, u64, u64, [u64; EVENT_COUNT]) {
+        let mut a = CrossbarArray::new(cfg);
+        a.program(&(0..16).collect::<Vec<u32>>());
+        let (ys, counts) = counted(|| vec![a.mvm_codes(codes, 4), a.mvm_codes(codes, 4)]);
+        (ys, a.mvm_count(), a.spike_count(), counts)
+    }
+
+    #[test]
+    fn short_code_slice_matches_its_zero_padded_form() {
+        let noisy_faulty = small_config()
+            .with_noise(0.05, 0.05, 9)
+            .with_faults(0.2, 0.2, 9);
+        for cfg in [small_config(), noisy_faulty] {
+            assert_eq!(twice(&cfg, &[5, 12]), twice(&cfg, &[5, 12, 0, 0]));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 4 input bits")]
+    fn mvm_rejects_oversized_code() {
+        let mut a = CrossbarArray::new(&small_config());
+        let _ = a.mvm_codes(&[16], 4);
     }
 
     #[test]
@@ -366,10 +387,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "codes for")]
-    fn mvm_rejects_wrong_length() {
+    #[should_panic(expected = "5 codes for 4 rows")]
+    fn more_codes_than_rows_panics() {
         let mut a = CrossbarArray::new(&small_config());
-        let _ = a.mvm_codes(&[1, 2], 4);
+        let _ = a.mvm_codes(&[1, 2, 3, 4, 5], 4);
     }
 
     #[test]

@@ -66,6 +66,12 @@ impl CrossbarConfig {
         self
     }
 
+    /// Whether the devices add neither write variation nor read noise.
+    /// Stuck-at faults may still be present.
+    pub(crate) fn is_noiseless(&self) -> bool {
+        self.write_sigma == 0.0 && self.read_sigma == 0.0
+    }
+
     /// Number of cells (physical bitlines) a single weight occupies.
     pub fn slices_per_weight(&self) -> usize {
         debug_assert!(self.cell_bits > 0);
@@ -100,11 +106,12 @@ impl CrossbarConfig {
         if self.cell_bits == 0 || self.cell_bits > 8 {
             return Err(format!("cell_bits {} outside 1..=8", self.cell_bits));
         }
-        if self.weight_bits == 0 || self.weight_bits > 32 {
-            return Err(format!("weight_bits {} outside 1..=32", self.weight_bits));
+        // One bit of each quantized width is the sign.
+        if !(2..=32).contains(&self.weight_bits) {
+            return Err(format!("weight_bits {} outside 2..=32", self.weight_bits));
         }
-        if self.input_bits == 0 || self.input_bits > 32 {
-            return Err(format!("input_bits {} outside 1..=32", self.input_bits));
+        if !(2..=32).contains(&self.input_bits) {
+            return Err(format!("input_bits {} outside 2..=32", self.input_bits));
         }
         if self.cols < self.slices_per_weight() {
             return Err(format!(
@@ -175,6 +182,22 @@ mod tests {
     fn validate_rejects_narrow_array() {
         let c = CrossbarConfig::default().with_array_size(128, 2);
         assert!(c.validate().unwrap_err().contains("cannot hold"));
+    }
+
+    #[test]
+    fn validate_rejects_bad_bit_widths() {
+        for bits in [0, 1, 33] {
+            let weight = CrossbarConfig {
+                weight_bits: bits,
+                ..CrossbarConfig::default()
+            };
+            assert!(weight.validate().unwrap_err().contains("weight_bits"));
+            let input = CrossbarConfig {
+                input_bits: bits,
+                ..CrossbarConfig::default()
+            };
+            assert!(input.validate().unwrap_err().contains("input_bits"));
+        }
     }
 
     #[test]

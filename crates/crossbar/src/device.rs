@@ -107,41 +107,30 @@ impl ReramDeviceModel {
         }
     }
 
-    /// Programs an *uncounted* dummy level-0 cell for read-noise sampling.
+    /// Adds one spike frame's read noise to its bitline `currents`.
     ///
-    /// Draws from the same RNG stream as [`program`](Self::program) but
-    /// counts as neither a write nor a telemetry event: the dummy cell is a
-    /// measurement artifact of the readout circuit, not endurance traffic.
-    pub fn noise_dummy(&mut self) -> ReramCell {
-        let noise = if self.write_sigma > 0.0 {
-            self.write_sigma * self.gaussian()
+    /// The readout senses each bitline against a dummy level-0 cell: one
+    /// programming-variation draw for the dummy (when `write_sigma > 0`),
+    /// then one read-noise draw per bitline (when `read_sigma > 0`), each
+    /// adding the sensed dummy conductance, clamped at zero, minus the
+    /// programmed one. The dummy is a readout artifact, not endurance
+    /// traffic: it counts no write and records no telemetry.
+    pub fn add_read_noise(&mut self, currents: &mut [f64]) {
+        let dummy = if self.write_sigma > 0.0 {
+            (self.write_sigma * self.gaussian()).max(0.0)
         } else {
             0.0
         };
-        ReramCell {
-            level: 0,
-            conductance: noise.max(0.0),
-        }
-    }
-
-    /// Additive read-noise sample for `cell`: the sensed conductance,
-    /// clamped at zero, minus the programmed one. Zero on a noiseless read.
-    pub fn read_noise(&mut self, cell: &ReramCell) -> f64 {
         if self.read_sigma > 0.0 {
-            (cell.conductance + self.read_sigma * self.gaussian()).max(0.0) - cell.conductance
-        } else {
-            0.0
+            for cur in currents {
+                *cur += (dummy + self.read_sigma * self.gaussian()).max(0.0) - dummy;
+            }
         }
     }
 
     /// Total program operations issued (for endurance accounting).
     pub fn write_count(&self) -> u64 {
         self.writes
-    }
-
-    /// Whether the model adds any non-ideality.
-    pub fn is_ideal(&self) -> bool {
-        self.write_sigma == 0.0 && self.read_sigma == 0.0
     }
 
     fn gaussian(&mut self) -> f64 {
@@ -155,6 +144,8 @@ impl ReramDeviceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::counted;
+    use reram_telemetry::EVENT_COUNT;
 
     #[test]
     fn ideal_program_read_round_trips() {
@@ -163,9 +154,10 @@ mod tests {
             let cell = dev.program(level);
             assert_eq!(cell.level(), level);
             assert_eq!(cell.conductance(), level as f64);
-            assert_eq!(dev.read_noise(&cell), 0.0);
         }
-        assert!(dev.is_ideal());
+        let mut currents = [0.0, 3.0, 15.0];
+        dev.add_read_noise(&mut currents);
+        assert_eq!(currents, [0.0, 3.0, 15.0]);
     }
 
     #[test]
@@ -191,19 +183,20 @@ mod tests {
         // Non-volatility: every read of the same cell senses the same
         // (variation-shifted) conductance when read noise is off.
         for _ in 0..10 {
-            assert_eq!(first + dev.read_noise(&cell), first);
+            let mut current = [first];
+            dev.add_read_noise(&mut current);
+            assert_eq!(current, [first]);
         }
     }
 
     #[test]
     fn read_noise_varies_per_read() {
         let mut dev = ReramDeviceModel::new(4, 0.0, 0.1, 7);
-        let cell = dev.program(8);
-        let a = dev.read_noise(&cell);
-        let b = dev.read_noise(&cell);
-        assert_ne!(a, b);
-        // Both reads stay near the programmed level.
-        assert!(a.abs() < 1.0 && b.abs() < 1.0);
+        let mut currents = [8.0; 2];
+        dev.add_read_noise(&mut currents);
+        assert_ne!(currents[0], currents[1]);
+        // Both reads stay near the summed conductance.
+        assert!(currents.iter().all(|c| (c - 8.0).abs() < 1.0));
     }
 
     #[test]
@@ -222,35 +215,41 @@ mod tests {
     fn conductance_never_negative() {
         let mut dev = ReramDeviceModel::new(1, 0.5, 0.5, 13);
         for _ in 0..500 {
-            let cell = dev.program(0);
-            assert!(cell.conductance() >= 0.0);
-            assert!(cell.conductance() + dev.read_noise(&cell) >= 0.0);
+            assert!(dev.program(0).conductance() >= 0.0);
         }
     }
 
     #[test]
-    fn write_count_tracks_programs_only() {
-        let mut dev = ReramDeviceModel::new(4, 0.0, 0.1, 0);
-        let c = dev.program(3);
-        let _ = dev.read_noise(&c);
-        let _ = dev.noise_dummy();
+    fn read_noise_counts_no_write() {
+        let mut dev = ReramDeviceModel::new(4, 0.1, 0.1, 0);
+        let _ = dev.program(3);
+        let ((), counts) = counted(|| dev.add_read_noise(&mut [0.0; 4]));
         assert_eq!(dev.write_count(), 1);
+        assert_eq!(counts, [0; EVENT_COUNT], "no CellWrite or other event");
     }
 
     #[test]
-    fn noise_dummy_matches_counted_program() {
-        // noise_dummy must draw the same RNG stream as program(0),
-        // differing only in that it counts no write.
-        let mut counted = ReramDeviceModel::new(4, 0.1, 0.1, 42);
-        let mut free = ReramDeviceModel::new(4, 0.1, 0.1, 42);
-        let dummy_c = counted.program(0);
-        let dummy_f = free.noise_dummy();
-        assert_eq!(dummy_c.conductance(), dummy_f.conductance());
-        for _ in 0..5 {
-            assert_eq!(counted.read_noise(&dummy_c), free.read_noise(&dummy_f));
+    fn read_noise_draws_a_dummy_then_one_read_per_bitline() {
+        // The stream a counted `program(0)` dummy and one clamped read per
+        // bitline would draw, with each draw skipped when its sigma is 0.
+        for (ws, rs) in [(0.1, 0.1), (0.1, 0.0), (0.0, 0.1), (0.0, 0.0)] {
+            let mut dev = ReramDeviceModel::new(4, ws, rs, 42);
+            let mut twin = ReramDeviceModel::new(4, ws, rs, 42);
+            let before = [0.0, 1.0, 2.5, 7.0];
+            let mut currents = before;
+            dev.add_read_noise(&mut currents);
+            let dummy = twin.program(0).conductance();
+            for (&got, b) in currents.iter().zip(before) {
+                let noise = if rs > 0.0 {
+                    (dummy + rs * twin.gaussian()).max(0.0) - dummy
+                } else {
+                    0.0
+                };
+                assert_eq!(got, b + noise);
+            }
+            assert_eq!(dev.gaussian(), twin.gaussian(), "same RNG position");
+            assert_eq!(dev.write_count(), 0);
         }
-        assert_eq!(counted.write_count(), 1);
-        assert_eq!(free.write_count(), 0);
     }
 
     #[test]

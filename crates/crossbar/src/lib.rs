@@ -10,11 +10,10 @@
 //!
 //! * [`device`] — the ReRAM cell: discrete conductance levels, programming,
 //!   write variation and read noise,
-//! * [`array`](mod@array) — a fixed-geometry crossbar of cells with bit-serial
-//!   (spike-coded) analog MVM,
-//! * [`spike`] — the spike driver and integrate-and-fire counter readout of
-//!   PipeLayer §III-A.3 (a, b): inputs are applied as weighted spike trains,
-//!   bitline currents are integrated into digital counts without a
+//! * [`array`](mod@array) — a fixed-geometry crossbar of cells whose one
+//!   MVM kernel is the spike driver and integrate-and-fire counter readout
+//!   of PipeLayer §III-A.3 (a, b): inputs are applied as weighted spike
+//!   trains, bitline currents are integrated into digital counts without a
 //!   conventional ADC,
 //! * [`quant`] — fixed-point quantization of weights/activations and bit
 //!   slicing of multi-bit weights across cells,
@@ -53,11 +52,12 @@ pub mod cost;
 pub mod device;
 pub mod quant;
 pub mod readout;
-pub mod spike;
 pub mod tile;
 pub mod units;
 
 mod config;
+#[cfg(test)]
+mod test_support;
 
 pub use config::CrossbarConfig;
 pub use cost::{ComponentEnergy, CrossbarCostModel, MvmCost};

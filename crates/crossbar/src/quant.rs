@@ -29,18 +29,21 @@ impl Quantizer {
         Self { bits, scale }
     }
 
+    /// [`fit`](Self::fit) without the fallback: `None` where no positive
+    /// finite scale fits.
+    pub(crate) fn try_fit(bits: u32, abs_max: f32) -> Option<Self> {
+        let q_max = ((1u64 << (bits - 1)) - 1) as f32;
+        let scale = abs_max / q_max;
+        (scale > 0.0 && scale.is_finite()).then(|| Self::new(bits, scale))
+    }
+
     /// Fits the scale so that `abs_max` maps to the largest code.
     ///
-    /// A zero or non-finite `abs_max` falls back to scale 1, which encodes
-    /// an all-zero tensor exactly.
+    /// Where no positive finite scale does (`abs_max` zero or not finite,
+    /// or so small that the scale underflows to zero), falls back to
+    /// scale 1, which encodes an all-zero tensor exactly.
     pub fn fit(bits: u32, abs_max: f32) -> Self {
-        let q_max = ((1u64 << (bits - 1)) - 1) as f32;
-        let scale = if abs_max > 0.0 && abs_max.is_finite() {
-            abs_max / q_max
-        } else {
-            1.0
-        };
-        Self::new(bits, scale)
+        Self::try_fit(bits, abs_max).unwrap_or_else(|| Self::new(bits, 1.0))
     }
 
     /// Bits of precision (including sign).
@@ -145,9 +148,15 @@ mod tests {
 
     #[test]
     fn fit_degenerate_abs_max() {
-        let q = Quantizer::fit(8, 0.0);
-        assert_eq!(q.quantize(0.0), 0);
-        assert_eq!(q.dequantize(0), 0.0);
+        // Zero, non-finite, and a magnitude whose 16-bit scale underflows.
+        for (bits, abs_max) in [(8, 0.0), (8, f32::NAN), (8, f32::INFINITY), (16, 1e-42)] {
+            assert_eq!(Quantizer::try_fit(bits, abs_max), None);
+            let q = Quantizer::fit(bits, abs_max);
+            assert_eq!(q.scale(), 1.0);
+            assert_eq!(q.quantize(0.0), 0);
+            assert_eq!(q.quantize(-1e-42), 0);
+            assert_eq!(q.dequantize(0), 0.0);
+        }
     }
 
     #[test]

@@ -25,7 +25,9 @@ pub struct TiledMatrix {
     config: CrossbarConfig,
     out_dim: usize,
     in_dim: usize,
-    weight_quant: Quantizer,
+    /// Scale fitted to the programmed matrix; `None` while no scale fits it
+    /// (all weights zero), and products use scale 1.
+    weight_fit: Option<Quantizer>,
     row_tiles: usize,
     col_tiles: usize,
     /// `pos[rt * col_tiles + ct]` and the matching `neg` array hold the
@@ -49,8 +51,6 @@ struct Scratch {
     codes: Vec<i64>,
     /// One input polarity's codes (magnitudes of one sign, others 0).
     polarity: Vec<u64>,
-    /// One row tile's wordline codes, zero-padded to the array height.
-    wordlines: Vec<u64>,
     /// Merged integer outputs of the current row.
     acc: Vec<i128>,
 }
@@ -91,18 +91,17 @@ impl TiledMatrix {
         let logical_cols = config.logical_cols();
         let row_tiles = in_dim.div_ceil(config.rows);
         let col_tiles = out_dim.div_ceil(logical_cols);
-        let ideal = config.write_sigma == 0.0 && config.read_sigma == 0.0;
 
         let mut this = Self {
             config: config.clone(),
             out_dim,
             in_dim,
-            weight_quant: Quantizer::fit(config.weight_bits, w.abs_max()),
+            weight_fit: Quantizer::try_fit(config.weight_bits, w.abs_max()),
             row_tiles,
             col_tiles,
             pos: Vec::with_capacity(row_tiles * col_tiles),
             neg: Vec::with_capacity(row_tiles * col_tiles),
-            folded: ideal.then(|| vec![0; out_dim * in_dim]),
+            folded: config.is_noiseless().then(|| vec![0; out_dim * in_dim]),
             scratch: Scratch::default(),
             reprogram_count: 0,
         };
@@ -131,7 +130,7 @@ impl TiledMatrix {
             self.out_dim,
             self.in_dim
         );
-        self.weight_quant = Quantizer::fit(self.config.weight_bits, w.abs_max());
+        self.weight_fit = Quantizer::try_fit(self.config.weight_bits, w.abs_max());
         self.reprogram_count += 1;
         telemetry::record(Event::WeightUpdate, 1);
         self.write_levels(w);
@@ -144,7 +143,8 @@ impl TiledMatrix {
     ///
     /// The existing quantization scale is kept so unchanged weights map to
     /// unchanged levels; if a new weight exceeds the current full-scale
-    /// range the grid falls back to a full reprogram with a refitted scale.
+    /// range, or the grid holds no fitted scale and `w` has one, the grid
+    /// falls back to a full reprogram with a refitted scale.
     ///
     /// # Panics
     ///
@@ -157,8 +157,11 @@ impl TiledMatrix {
             self.out_dim,
             self.in_dim
         );
-        let full_scale = self.weight_quant.dequantize(self.weight_quant.q_max());
-        if w.abs_max() > full_scale {
+        let refit = match self.weight_fit {
+            Some(q) => w.abs_max() > q.dequantize(q.q_max()),
+            None => Quantizer::try_fit(self.config.weight_bits, w.abs_max()).is_some(),
+        };
+        if refit {
             let cells = (self.config.rows * self.config.cols) as u64
                 * 2
                 * (self.row_tiles * self.col_tiles) as u64;
@@ -233,8 +236,9 @@ impl TiledMatrix {
     fn for_each_cell(&self, w: &Matrix, mut visit: impl FnMut(CellSite, u32, u32)) {
         let slices = self.config.slices_per_weight();
         let cell_bits = self.config.cell_bits;
+        let quant = self.weight_quant();
         self.for_each_weight(|array, row, col, entry| {
-            let q = self.weight_quant.quantize(w.data()[entry]);
+            let q = quant.quantize(w.data()[entry]);
             let (p, n) = differential_split(q);
             let p = slice_magnitude(p, cell_bits, slices);
             let n = slice_magnitude(n, cell_bits, slices);
@@ -279,6 +283,12 @@ impl TiledMatrix {
                 }
             }
         }
+    }
+
+    /// The weight quantizer: the fitted one, or scale 1 while none fits.
+    fn weight_quant(&self) -> Quantizer {
+        self.weight_fit
+            .unwrap_or_else(|| Quantizer::fit(self.config.weight_bits, 0.0))
     }
 
     /// Output dimension (`W` rows).
@@ -391,7 +401,7 @@ impl TiledMatrix {
                 .extend(s.codes.iter().map(|&q| (sign * q).max(0) as u64));
             self.accumulate_polarity(sign, s);
         }
-        self.weight_quant.scale() * input_quant.scale()
+        self.weight_quant().scale() * input_quant.scale()
     }
 
     /// One input polarity (`s.polarity`) through every non-zero row tile.
@@ -413,12 +423,8 @@ impl TiledMatrix {
                     self.neg[idx].record_mvm(chunk, input_bits);
                     continue;
                 }
-                // The tile's wordlines, zero-padded past the input's end.
-                s.wordlines.clear();
-                s.wordlines.extend_from_slice(chunk);
-                s.wordlines.resize(rows, 0);
-                let p = self.pos[idx].mvm_codes(&s.wordlines, input_bits);
-                let n = self.neg[idx].mvm_codes(&s.wordlines, input_bits);
+                let p = self.pos[idx].mvm_codes(chunk, input_bits);
+                let n = self.neg[idx].mvm_codes(chunk, input_bits);
                 for j in 0..logical_cols {
                     let out_idx = ct * logical_cols + j;
                     if out_idx >= self.out_dim {
@@ -459,13 +465,11 @@ impl TiledMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::counted;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use reram_telemetry::{CounterRecorder, Recorder, EVENT_COUNT};
     use reram_tensor::Shape2;
-    use std::sync::Arc;
-    use std::thread::ThreadId;
 
     fn test_config() -> CrossbarConfig {
         CrossbarConfig {
@@ -536,6 +540,27 @@ mod tests {
         let mut t = TiledMatrix::program(&w, &test_config());
         let y = t.matvec(&[0.0; 6]);
         assert!(y.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn vanishing_magnitudes_quantize_to_zero() {
+        // Scales of 1e-42 underflow at 16 bits and fall back to 1.
+        let cfg = CrossbarConfig::default();
+        let tiny = Matrix::from_vec(Shape2::new(1, 3), vec![1e-42, 0.0, -1e-42]);
+        let mut t = TiledMatrix::program(&tiny, &cfg);
+        assert_eq!(t.matvec(&[1.0, 1.0, 1.0]), [0.0]);
+        let mut t = TiledMatrix::program(&pattern_matrix(2, 3), &cfg);
+        assert_eq!(t.matvec(&[1e-42, 0.0, -1e-42]), [0.0, 0.0]);
+    }
+
+    #[test]
+    fn delta_update_from_zero_grid_refits() {
+        let mut t = TiledMatrix::program(&Matrix::zeros(Shape2::new(2, 3)), &test_config());
+        assert_eq!(t.reprogram_delta(&Matrix::zeros(Shape2::new(2, 3))), 0);
+        let w = Matrix::from_fn(Shape2::new(2, 3), |r, c| 0.1 * (r + c) as f32 - 0.1);
+        assert!(t.reprogram_delta(&w) > 0);
+        let x = [1.0; 3];
+        assert_close(&t.matvec(&x), &w.matvec(&x), 0.01);
     }
 
     #[test]
@@ -678,34 +703,6 @@ mod tests {
         for (a, b) in yi.iter().zip(&yn) {
             assert!((a - b).abs() < 0.5, "ideal {a} vs noisy {b}");
         }
-    }
-
-    /// A counter that keeps only the installing thread's events, so the
-    /// unscoped products of tests running alongside cannot leak in.
-    struct ThreadCounter {
-        owner: ThreadId,
-        counts: CounterRecorder,
-    }
-
-    impl Recorder for ThreadCounter {
-        fn record(&self, event: Event, count: u64) {
-            if std::thread::current().id() == self.owner {
-                self.counts.record(event, count);
-            }
-        }
-    }
-
-    /// Runs `f` under a scoped counter; returns its result and every tally.
-    fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; EVENT_COUNT]) {
-        let counter = Arc::new(ThreadCounter {
-            owner: std::thread::current().id(),
-            counts: CounterRecorder::new(),
-        });
-        let out = {
-            let _guard = telemetry::scoped_recorder(counter.clone());
-            f()
-        };
-        (out, Event::ALL.map(|e| counter.counts.count(e)))
     }
 
     /// What one program → matvec → reprogram → matvec → in-range delta →
