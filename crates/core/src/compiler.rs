@@ -7,8 +7,11 @@
 //! CONV / POOL / FC / activation stages ([`NetStage`]),
 //! [`CompiledNetwork`] issues the [`Instruction`]s that program the
 //! morphable subarrays, morph them into compute mode, and chain each input
-//! through the layers via memory subarrays of a [`Bank`];
-//! [`TrainableMlp`] does the same for training a fully connected stack.
+//! through the layers via memory subarrays of a [`Bank`]. The same program
+//! trains a fully connected stack on the bank
+//! ([`CompiledNetwork::train_step`]): error back-propagation runs on each
+//! layer's transposed grid and the control unit writes the tuned weights
+//! back with [`Instruction::ProgramTraining`].
 
 use crate::isa::{Instruction, SubarrayMode};
 use crate::subarray::Bank;
@@ -39,6 +42,13 @@ pub enum CompileError {
         /// What is wrong.
         reason: &'static str,
     },
+    /// A stage the bank cannot train: only FC stages with a ReLU or no
+    /// activation do, because the ReLU derivative is recoverable from the
+    /// buffered outputs.
+    Untrainable {
+        /// 0-based index of the first such stage.
+        stage: usize,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -56,250 +66,15 @@ impl std::fmt::Display for CompileError {
             CompileError::BadGeometry { stage, reason } => {
                 write!(f, "stage {stage}: {reason}")
             }
+            CompileError::Untrainable { stage } => write!(
+                f,
+                "stage {stage}: only FC stages with ReLU or no activation train on the bank"
+            ),
         }
     }
 }
 
 impl std::error::Error for CompileError {}
-
-/// An MLP trained *on the bank*: forward MVMs and error back-propagation
-/// both execute as bank instructions on the morphable subarrays (forward
-/// grid + transposed grid per layer), with the control unit holding the
-/// master weights and issuing [`Instruction::ProgramTraining`] updates —
-/// the complete "testing and training" support the paper's abstract claims.
-///
-/// Activations are restricted to ReLU (or none): its derivative is
-/// recoverable from the stored post-activation values, so the bank only
-/// buffers each stage's output, exactly as Fig. 5(a)'s memory subarrays do.
-#[derive(Debug)]
-pub struct TrainableMlp {
-    weights: Vec<Matrix>,
-    relu: Vec<bool>,
-    bank: Bank,
-    setup_needed: bool,
-}
-
-impl TrainableMlp {
-    /// Compiles a trainable MLP. `layers` gives each layer's weights and
-    /// whether a ReLU follows it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::EmptyNetwork`] if `layers` is empty,
-    /// [`CompileError::BadGeometry`] if a weight matrix has no rows or
-    /// columns and [`CompileError::ShapeMismatch`] if consecutive shapes
-    /// are incompatible.
-    #[must_use = "the compiled network is the result"]
-    pub fn compile(
-        layers: Vec<(Matrix, bool)>,
-        config: &CrossbarConfig,
-    ) -> Result<Self, CompileError> {
-        if layers.is_empty() {
-            return Err(CompileError::EmptyNetwork);
-        }
-        if let Some(stage) = layers.iter().position(|(w, _)| is_empty(w)) {
-            return Err(CompileError::BadGeometry {
-                stage,
-                reason: EMPTY_WEIGHTS,
-            });
-        }
-        for (i, w) in layers.windows(2).enumerate() {
-            if w[1].0.cols() != w[0].0.rows() {
-                return Err(CompileError::ShapeMismatch {
-                    stage: i + 1,
-                    expected: w[0].0.rows(),
-                    got: w[1].0.cols(),
-                });
-            }
-        }
-        // Memory map: slot i = activation entering layer i (slot 0 = input,
-        // slot L = network output), slots L+1/L+2 = error ping-pong.
-        let depth = layers.len();
-        let bank = Bank::new(depth, depth + 3, config);
-        Ok(Self {
-            weights: layers.iter().map(|(w, _)| w.clone()).collect(),
-            relu: layers.iter().map(|&(_, r)| r).collect(),
-            bank,
-            setup_needed: true,
-        })
-    }
-
-    /// Number of layers.
-    pub fn depth(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// The control unit's master copy of layer `i`'s weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn weights(&self, i: usize) -> &Matrix {
-        &self.weights[i]
-    }
-
-    /// Bank statistics accumulated so far.
-    pub fn stats(&self) -> crate::subarray::BankStats {
-        self.bank.stats()
-    }
-
-    fn ensure_setup(&mut self) {
-        if !self.setup_needed {
-            return;
-        }
-        for (i, w) in self.weights.iter().enumerate() {
-            self.bank.execute(Instruction::ProgramTraining {
-                subarray: i,
-                weights: w.clone(),
-            });
-            self.bank.execute(Instruction::SetMode {
-                subarray: i,
-                mode: SubarrayMode::Compute,
-            });
-        }
-        self.setup_needed = false;
-    }
-
-    /// Forward pass on the bank, leaving every stage's activation in its
-    /// memory subarray. Returns the network output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` differs from the first layer's width.
-    #[expect(
-        clippy::expect_used,
-        reason = "ReadMem of a slot this compiler wrote always yields data"
-    )]
-    pub fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        assert_eq!(input.len(), self.weights[0].cols(), "input length");
-        self.ensure_setup();
-        self.bank.execute(Instruction::LoadMem {
-            mem: 0,
-            data: input.to_vec(),
-        });
-        for i in 0..self.depth() {
-            self.bank.execute(Instruction::Compute {
-                subarray: i,
-                src_mem: i,
-                dst_mem: i + 1,
-                activation: if self.relu[i] {
-                    Some(Activation::Relu)
-                } else {
-                    None
-                },
-            });
-        }
-        self.bank
-            .execute(Instruction::ReadMem { mem: self.depth() })
-            .expect("read returns data")
-    }
-
-    /// One SGD training step on `(input, target)` under mean-squared error.
-    /// Returns the loss before the update.
-    ///
-    /// The forward pass and every error-propagation product run on the
-    /// bank; the control unit computes the loss gradient, masks it by the
-    /// ReLU derivative (recovered from the buffered activations), forms the
-    /// weight-gradient outer products, and writes the tuned weights back
-    /// with `ProgramTraining`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target.len()` differs from the output width.
-    pub fn train_step(&mut self, input: &[f32], target: &[f32], lr: f32) -> f32 {
-        let _span = Span::enter("bank/train_step");
-        let depth = self.depth();
-        let out = self.forward(input);
-        assert_eq!(target.len(), out.len(), "target length");
-        let n = out.len() as f32;
-        let loss: f32 = out
-            .iter()
-            .zip(target)
-            .map(|(y, t)| (y - t) * (y - t))
-            .sum::<f32>()
-            / n;
-
-        // Error at the output (dL/dy for MSE), held in the error slots.
-        let err_a = depth + 1;
-        let err_b = depth + 2;
-        let mut grads: Vec<Matrix> = Vec::with_capacity(depth);
-        let mut error: Vec<f32> = out
-            .iter()
-            .zip(target)
-            .map(|(y, t)| 2.0 * (y - t) / n)
-            .collect();
-
-        for i in (0..depth).rev() {
-            // Activation of this layer's output (slot i+1) for the ReLU
-            // derivative, and its input (slot i) for the weight gradient.
-            #[expect(
-                clippy::expect_used,
-                reason = "forward pass buffered this slot earlier in the step"
-            )]
-            let out_act = self
-                .bank
-                .execute(Instruction::ReadMem { mem: i + 1 })
-                .expect("activation buffered");
-            if self.relu[i] {
-                for (e, &a) in error.iter_mut().zip(&out_act) {
-                    if a <= 0.0 {
-                        *e = 0.0;
-                    }
-                }
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "forward pass buffered this slot earlier in the step"
-            )]
-            let in_act = self
-                .bank
-                .execute(Instruction::ReadMem { mem: i })
-                .expect("activation buffered");
-            // Weight gradient: e ⊗ x (control-unit outer-product logic).
-            let w = &self.weights[i];
-            let mut grad = Matrix::zeros(w.shape());
-            for r in 0..w.rows() {
-                for c in 0..w.cols() {
-                    grad.set(r, c, error[r] * in_act[c]);
-                }
-            }
-            grads.push(grad);
-            // Propagate the error through the transposed grid on the bank.
-            #[expect(
-                clippy::expect_used,
-                reason = "error slot written by the preceding backward stage"
-            )]
-            if i > 0 {
-                self.bank.execute(Instruction::LoadMem {
-                    mem: err_a,
-                    data: error.clone(),
-                });
-                self.bank.execute(Instruction::ComputeTransposed {
-                    subarray: i,
-                    src_mem: err_a,
-                    dst_mem: err_b,
-                });
-                error = self
-                    .bank
-                    .execute(Instruction::ReadMem { mem: err_b })
-                    .expect("propagated error");
-            }
-        }
-
-        // Weight update cycle: tune the weights and rewrite both grids.
-        grads.reverse();
-        for (i, grad) in grads.iter().enumerate() {
-            for (w, g) in self.weights[i].data_mut().iter_mut().zip(grad.data()) {
-                *w -= lr * g;
-            }
-            self.bank.execute(Instruction::ProgramTraining {
-                subarray: i,
-                weights: self.weights[i].clone(),
-            });
-        }
-        loss
-    }
-}
 
 /// One stage of a generalized compiled network: the layer menagerie of
 /// §II-A.1 expressed against the bank ISA instead of host math.
@@ -365,25 +140,39 @@ struct ResolvedStage {
     subarray: usize,
 }
 
-/// A compiled inference network: CONV / POOL / FC / activation stages
-/// lowered onto one [`Bank`]. An FC-only stack is the plain MLP case: each
-/// layer is one `Compute` between the ping-pong slots.
+/// Which grids the setup program has written. Ordered: training needs
+/// everything inference needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Grids {
+    Unprogrammed,
+    /// Forward grids (`Program`).
+    Forward,
+    /// Forward and transposed grids (`ProgramTraining`).
+    Training,
+}
+
+/// A compiled network: CONV / POOL / FC / activation stages lowered onto
+/// one [`Bank`]. An FC-only stack is the plain MLP case: each layer is one
+/// `Compute` between consecutive slots, and it can also train on the bank.
 ///
-/// Memory map: slots 0/1 ping-pong whole feature maps between stages
-/// (layout `(C, H, W)` flattened channel-major), slot 2 stages the current
-/// im2col window and slot 3 collects its MVM result during CONV execution.
+/// Memory map for `depth` stages: slot `i` holds the feature map entering
+/// stage `i` (slot 0 the input, slot `depth` the output; layout `(C, H, W)`
+/// flattened channel-major), slot `depth + 1` stages the current im2col
+/// window and slot `depth + 2` collects its MVM result during CONV
+/// execution, and slots `depth + 3` / `depth + 4` ping-pong the error
+/// during training.
 #[derive(Debug)]
 pub struct CompiledNetwork {
     stages: Vec<ResolvedStage>,
     input_shape: MapShape,
     bank: Bank,
-    setup_done: bool,
+    grids: Grids,
 }
 
 impl CompiledNetwork {
     /// Compiles a stage stack for inputs of shape `(c, h, w)` onto a fresh
-    /// bank: one morphable subarray per weighted stage, four memory
-    /// subarrays.
+    /// bank: one morphable subarray per weighted stage and `depth + 5`
+    /// memory subarrays.
     ///
     /// # Errors
     ///
@@ -416,12 +205,12 @@ impl CompiledNetwork {
             subarray += usize::from(weighted);
             shape = output;
         }
-        let bank = Bank::new(subarray.max(1), 4, config);
+        let bank = Bank::new(subarray.max(1), resolved.len() + 5, config);
         Ok(Self {
             stages: resolved,
             input_shape: input,
             bank,
-            setup_done: false,
+            grids: Grids::Unprogrammed,
         })
     }
 
@@ -457,36 +246,41 @@ impl CompiledNetwork {
         self.bank.stats()
     }
 
-    fn ensure_setup(&mut self) {
-        if self.setup_done {
+    /// The setup program: writes every weighted stage's grids and morphs
+    /// its subarray into compute mode, unless `grids` are already there.
+    fn ensure_setup(&mut self, grids: Grids) {
+        if self.grids >= grids {
             return;
         }
         for s in &self.stages {
             let (NetStage::Conv { weights, .. } | NetStage::Fc { weights, .. }) = &s.stage else {
                 continue;
             };
-            self.bank.execute(Instruction::Program {
-                subarray: s.subarray,
-                weights: weights.clone(),
+            let (subarray, weights) = (s.subarray, weights.clone());
+            self.bank.execute(if grids == Grids::Training {
+                Instruction::ProgramTraining { subarray, weights }
+            } else {
+                Instruction::Program { subarray, weights }
             });
             self.bank.execute(Instruction::SetMode {
-                subarray: s.subarray,
+                subarray,
                 mode: SubarrayMode::Compute,
             });
         }
-        self.setup_done = true;
+        self.grids = grids;
     }
 
     /// Runs one input (flattened `(C, H, W)` channel-major) through the
-    /// compiled network on the bank. The setup program runs lazily before
-    /// the first input.
+    /// compiled network on the bank, leaving every stage's input and output
+    /// in its memory slot. The setup program runs lazily before the first
+    /// input.
     ///
     /// # Panics
     ///
     /// Panics if `input.len() != self.input_len()`.
     #[expect(
         clippy::expect_used,
-        reason = "every stage leaves its output in the ping-pong slot"
+        reason = "every stage leaves its output in the next slot"
     )]
     pub fn forward(&mut self, input: &[f32]) -> Vec<f32> {
         let _span = Span::enter("bank/net_forward");
@@ -497,13 +291,14 @@ impl CompiledNetwork {
             input.len(),
             self.input_len()
         );
-        self.ensure_setup();
+        self.ensure_setup(Grids::Forward);
         self.bank.execute(Instruction::LoadMem {
             mem: 0,
             data: input.to_vec(),
         });
-        let mut cur = 0;
-        for s in &self.stages {
+        let depth = self.depth();
+        let (window, result) = (depth + 1, depth + 2);
+        for (i, s) in self.stages.iter().enumerate() {
             let (in_c, in_h, in_w) = s.input;
             match &s.stage {
                 NetStage::Conv {
@@ -516,13 +311,10 @@ impl CompiledNetwork {
                     // The control unit unrolls the stored feature map into
                     // receptive fields (Fig. 4's 1152×1 input vectors) and
                     // issues one MVM per output position.
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "ping-pong slot written by the previous stage"
-                    )]
+                    #[expect(clippy::expect_used, reason = "slot written by the previous stage")]
                     let data = self
                         .bank
-                        .execute(Instruction::ReadMem { mem: cur })
+                        .execute(Instruction::ReadMem { mem: i })
                         .expect("feature map buffered");
                     let t = Tensor::from_vec(Shape4::new(1, in_c, in_h, in_w), data);
                     let patches = ops::im2col(&t, 0, *k, *k, *stride, *pad);
@@ -531,36 +323,36 @@ impl CompiledNetwork {
                     let mut out = vec![0.0f32; out_c * npos];
                     for pos in 0..npos {
                         self.bank.execute(Instruction::LoadMem {
-                            mem: 2,
+                            mem: window,
                             data: patches.row(pos).to_vec(),
                         });
                         self.bank.execute(Instruction::Compute {
                             subarray: s.subarray,
-                            src_mem: 2,
-                            dst_mem: 3,
+                            src_mem: window,
+                            dst_mem: result,
                             activation: *activation,
                         });
                         #[expect(
                             clippy::expect_used,
-                            reason = "slot 3 written by the Compute just issued"
+                            reason = "result slot written by the Compute just issued"
                         )]
                         let y = self
                             .bank
-                            .execute(Instruction::ReadMem { mem: 3 })
+                            .execute(Instruction::ReadMem { mem: result })
                             .expect("conv result buffered");
                         for (oc, &v) in y.iter().enumerate() {
                             out[oc * npos + pos] = v;
                         }
                     }
                     self.bank.execute(Instruction::LoadMem {
-                        mem: 1 - cur,
+                        mem: i + 1,
                         data: out,
                     });
                 }
                 NetStage::MaxPool { k, stride } => {
                     self.bank.execute(Instruction::MaxPool {
-                        src_mem: cur,
-                        dst_mem: 1 - cur,
+                        src_mem: i,
+                        dst_mem: i + 1,
                         c: in_c,
                         k: *k,
                         stride: *stride,
@@ -571,32 +363,161 @@ impl CompiledNetwork {
                 NetStage::Fc { activation, .. } => {
                     self.bank.execute(Instruction::Compute {
                         subarray: s.subarray,
-                        src_mem: cur,
-                        dst_mem: 1 - cur,
+                        src_mem: i,
+                        dst_mem: i + 1,
                         activation: *activation,
                     });
                 }
                 NetStage::Act(a) => {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "ping-pong slot written by the previous stage"
-                    )]
+                    #[expect(clippy::expect_used, reason = "slot written by the previous stage")]
                     let mut data = self
                         .bank
-                        .execute(Instruction::ReadMem { mem: cur })
+                        .execute(Instruction::ReadMem { mem: i })
                         .expect("feature map buffered");
                     for v in &mut data {
                         *v = a.apply(*v);
                     }
-                    self.bank
-                        .execute(Instruction::LoadMem { mem: 1 - cur, data });
+                    self.bank.execute(Instruction::LoadMem { mem: i + 1, data });
                 }
             }
-            cur = 1 - cur;
         }
         self.bank
-            .execute(Instruction::ReadMem { mem: cur })
+            .execute(Instruction::ReadMem { mem: depth })
             .expect("network output buffered")
+    }
+
+    /// One SGD step on `(input, target)` under mean-squared error, on the
+    /// bank. Returns the loss before the update.
+    ///
+    /// The forward pass and every error-propagation product run on the
+    /// bank; the control unit computes the loss gradient, masks it by the
+    /// ReLU derivative (recovered from the buffered outputs), forms the
+    /// weight-gradient outer products, tunes the master weights (the
+    /// [`NetStage::Fc`] matrices, so [`CompiledNetwork::forward_exact`]
+    /// follows them) and writes them back with `ProgramTraining`. The
+    /// first step programs the transposed grids it propagates errors
+    /// through.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::Untrainable`], with no instruction issued,
+    /// unless every stage is [`NetStage::Fc`] with a ReLU or no activation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len() != self.input_len()` or
+    /// `target.len() != self.output_len()`.
+    pub fn train_step(
+        &mut self,
+        input: &[f32],
+        target: &[f32],
+        lr: f32,
+    ) -> Result<f32, CompileError> {
+        let relu = self
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(stage, s)| match s.stage {
+                NetStage::Fc {
+                    activation: None, ..
+                } => Ok(false),
+                NetStage::Fc {
+                    activation: Some(Activation::Relu),
+                    ..
+                } => Ok(true),
+                _ => Err(CompileError::Untrainable { stage }),
+            })
+            .collect::<Result<Vec<bool>, _>>()?;
+        assert_eq!(target.len(), self.output_len(), "target length");
+        let _span = Span::enter("bank/train_step");
+        self.ensure_setup(Grids::Training);
+        let out = self.forward(input);
+        let n = out.len() as f32;
+        let loss: f32 = out
+            .iter()
+            .zip(target)
+            .map(|(y, t)| (y - t) * (y - t))
+            .sum::<f32>()
+            / n;
+
+        // Error at the output (dL/dy for MSE), held in the error slots.
+        let depth = self.depth();
+        let (err_a, err_b) = (depth + 3, depth + 4);
+        let mut error: Vec<f32> = out
+            .iter()
+            .zip(target)
+            .map(|(y, t)| 2.0 * (y - t) / n)
+            .collect();
+        for i in (0..depth).rev() {
+            // This stage's output (slot i+1) for the ReLU derivative, and
+            // its input (slot i) for the weight gradient.
+            #[expect(
+                clippy::expect_used,
+                reason = "forward pass buffered this slot earlier in the step"
+            )]
+            let out_act = self
+                .bank
+                .execute(Instruction::ReadMem { mem: i + 1 })
+                .expect("activation buffered");
+            if relu[i] {
+                for (e, &a) in error.iter_mut().zip(&out_act) {
+                    if a <= 0.0 {
+                        *e = 0.0;
+                    }
+                }
+            }
+            #[expect(
+                clippy::expect_used,
+                reason = "forward pass buffered this slot earlier in the step"
+            )]
+            let in_act = self
+                .bank
+                .execute(Instruction::ReadMem { mem: i })
+                .expect("activation buffered");
+            // Weight gradient e ⊗ x (control-unit outer-product logic),
+            // applied to the master copy; the grids still hold the old
+            // weights until the write-back below.
+            let s = &mut self.stages[i];
+            if let NetStage::Fc { weights, .. } = &mut s.stage {
+                for (row, &e) in weights.data_mut().chunks_mut(in_act.len()).zip(&error) {
+                    for (w, &x) in row.iter_mut().zip(&in_act) {
+                        *w -= lr * (e * x);
+                    }
+                }
+            }
+            // Propagate the error through the transposed grid on the bank.
+            if i > 0 {
+                self.bank.execute(Instruction::LoadMem {
+                    mem: err_a,
+                    data: error,
+                });
+                self.bank.execute(Instruction::ComputeTransposed {
+                    subarray: s.subarray,
+                    src_mem: err_a,
+                    dst_mem: err_b,
+                });
+                #[expect(
+                    clippy::expect_used,
+                    reason = "error slot written by the ComputeTransposed just issued"
+                )]
+                let propagated = self
+                    .bank
+                    .execute(Instruction::ReadMem { mem: err_b })
+                    .expect("propagated error");
+                error = propagated;
+            }
+        }
+
+        // Weight update cycle: rewrite both grids of every layer.
+        for s in &self.stages {
+            if let NetStage::Fc { weights, .. } = &s.stage {
+                self.bank.execute(Instruction::ProgramTraining {
+                    subarray: s.subarray,
+                    weights: weights.clone(),
+                });
+            }
+        }
+        Ok(loss)
     }
 
     /// Reference result computed in floating point (no crossbar).
@@ -784,8 +705,6 @@ mod tests {
 
     #[test]
     fn rejects_empty() {
-        let err = TrainableMlp::compile(vec![], &CrossbarConfig::default()).unwrap_err();
-        assert_eq!(err, CompileError::EmptyNetwork);
         let err =
             CompiledNetwork::compile((1, 1, 1), vec![], &CrossbarConfig::default()).unwrap_err();
         assert_eq!(err, CompileError::EmptyNetwork);
@@ -794,8 +713,18 @@ mod tests {
             Matrix::zeros(Shape2::new(0, 4)),
             Matrix::zeros(Shape2::new(3, 0)),
         ] {
-            let err = TrainableMlp::compile(
-                vec![(Matrix::zeros(Shape2::new(4, 4)), true), (w, false)],
+            let err = CompiledNetwork::compile(
+                (4, 1, 1),
+                vec![
+                    NetStage::Fc {
+                        weights: Matrix::zeros(Shape2::new(4, 4)),
+                        activation: Some(Activation::Relu),
+                    },
+                    NetStage::Fc {
+                        weights: w,
+                        activation: None,
+                    },
+                ],
                 &CrossbarConfig::default(),
             )
             .unwrap_err();
@@ -809,21 +738,31 @@ mod tests {
         }
     }
 
-    fn trainable() -> TrainableMlp {
-        TrainableMlp::compile(
+    /// The 4 → 6 (ReLU) → 2 MLP's weights.
+    fn trainable_weights() -> (Matrix, Matrix) {
+        (
+            Matrix::from_fn(Shape2::new(6, 4), |r, c| {
+                (((r * 7 + c * 5) % 11) as f32 - 5.0) / 10.0
+            }),
+            Matrix::from_fn(Shape2::new(2, 6), |r, c| {
+                (((r * 3 + c * 7 + 1) % 11) as f32 - 5.0) / 10.0
+            }),
+        )
+    }
+
+    fn trainable() -> CompiledNetwork {
+        let (w0, w1) = trainable_weights();
+        CompiledNetwork::compile(
+            (4, 1, 1),
             vec![
-                (
-                    Matrix::from_fn(Shape2::new(6, 4), |r, c| {
-                        (((r * 7 + c * 5) % 11) as f32 - 5.0) / 10.0
-                    }),
-                    true,
-                ),
-                (
-                    Matrix::from_fn(Shape2::new(2, 6), |r, c| {
-                        (((r * 3 + c * 7 + 1) % 11) as f32 - 5.0) / 10.0
-                    }),
-                    false,
-                ),
+                NetStage::Fc {
+                    weights: w0,
+                    activation: Some(Activation::Relu),
+                },
+                NetStage::Fc {
+                    weights: w1,
+                    activation: None,
+                },
             ],
             &CrossbarConfig::default(),
         )
@@ -833,11 +772,12 @@ mod tests {
     #[test]
     fn trainable_forward_matches_host_math() {
         let mut m = trainable();
+        let (w0, w1) = trainable_weights();
         let x = [0.4f32, -0.2, 0.1, 0.3];
         let y = m.forward(&x);
         // Host reference.
-        let h: Vec<f32> = m.weights(0).matvec(&x).iter().map(|v| v.max(0.0)).collect();
-        let want = m.weights(1).matvec(&h);
+        let h: Vec<f32> = w0.matvec(&x).iter().map(|v| v.max(0.0)).collect();
+        let want = w1.matvec(&h);
         for (a, b) in y.iter().zip(&want) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }
@@ -848,10 +788,10 @@ mod tests {
         let mut m = trainable();
         let x = [0.4f32, -0.2, 0.1, 0.3];
         let target = [0.5f32, -0.25];
-        let first = m.train_step(&x, &target, 0.2);
+        let first = m.train_step(&x, &target, 0.2).expect("trainable");
         let mut last = first;
         for _ in 0..30 {
-            last = m.train_step(&x, &target, 0.2);
+            last = m.train_step(&x, &target, 0.2).expect("trainable");
         }
         assert!(
             last < first * 0.2,
@@ -864,12 +804,11 @@ mod tests {
         // Train the same network host-side in f32; both trajectories end
         // near the target.
         let mut m = trainable();
-        let mut w0 = m.weights(0).clone();
-        let mut w1 = m.weights(1).clone();
+        let (mut w0, mut w1) = trainable_weights();
         let x = [0.4f32, -0.2, 0.1, 0.3];
         let target = [0.5f32, -0.25];
         for _ in 0..30 {
-            let _ = m.train_step(&x, &target, 0.2);
+            let _ = m.train_step(&x, &target, 0.2).expect("trainable");
             // Host-side reference step.
             let h_pre = w0.matvec(&x);
             let h: Vec<f32> = h_pre.iter().map(|v| v.max(0.0)).collect();
@@ -905,8 +844,11 @@ mod tests {
                 *w -= 0.2 * g;
             }
         }
-        // Final outputs of both within a small band of the target.
+        // Final outputs of both within a small band of the target, and the
+        // master weights the float reference reads follow the bank's
+        // updates.
         let y_bank = m.forward(&x);
+        let y_master = m.forward_exact(&x);
         let h: Vec<f32> = w0.matvec(&x).iter().map(|v| v.max(0.0)).collect();
         let y_host = w1.matvec(&h);
         for i in 0..2 {
@@ -922,16 +864,68 @@ mod tests {
                 y_host[i],
                 target[i]
             );
+            assert!(
+                (y_master[i] - target[i]).abs() < 0.1,
+                "master {} vs {}",
+                y_master[i],
+                target[i]
+            );
         }
     }
 
     #[test]
     fn training_issues_program_instructions() {
         let mut m = trainable();
-        let _ = m.train_step(&[0.1; 4], &[0.0, 0.0], 0.1);
-        // Setup: 2 ProgramTraining (x2 grids each) + per-step 2 more.
-        assert!(m.stats().programs >= 8);
-        assert!(m.stats().mvms >= 3); // 2 forward + 1 transposed
+        let _ = m
+            .train_step(&[0.1; 4], &[0.0, 0.0], 0.1)
+            .expect("trainable");
+        // Setup: 2 ProgramTraining (2 grids each) + 2 SetMode; forward:
+        // LoadMem + 2 Compute + ReadMem; backward: 4 ReadMem, then LoadMem,
+        // ComputeTransposed and ReadMem for layer 1; 2 ProgramTraining.
+        let s = m.stats();
+        assert_eq!((s.programs, s.mvms, s.instructions), (8, 3, 17));
+    }
+
+    #[test]
+    fn training_after_inference_programs_the_transposed_grids() {
+        let mut m = trainable();
+        let x = [0.4f32, -0.2, 0.1, 0.3];
+        let _ = m.forward(&x);
+        assert_eq!(m.stats().programs, 2);
+        let _ = m.train_step(&x, &[0.5, -0.25], 0.2).expect("trainable");
+        // Setup again with both grids (2 × 2), then the write-back (2 × 2).
+        assert_eq!(m.stats().programs, 10);
+        let _ = m.forward(&x);
+        assert_eq!(m.stats().programs, 10);
+    }
+
+    #[test]
+    fn untrainable_stacks_are_rejected_untouched() {
+        let cases = [
+            (small_cnn(), 0),
+            (
+                CompiledNetwork::compile(
+                    (8, 1, 1),
+                    vec![
+                        stage(10, 8, Some(Activation::Relu), 1),
+                        stage(6, 10, Some(Activation::Tanh), 2),
+                        stage(3, 6, None, 3),
+                    ],
+                    &CrossbarConfig::default(),
+                )
+                .expect("compiles"),
+                1,
+            ),
+        ];
+        for (mut m, stage) in cases {
+            let (inputs, outputs) = (m.input_len(), m.output_len());
+            let err = m
+                .train_step(&vec![0.1; inputs], &vec![0.0; outputs], 0.1)
+                .unwrap_err();
+            assert_eq!(err, CompileError::Untrainable { stage });
+            assert!(err.to_string().contains("train on the bank"));
+            assert_eq!(m.stats(), crate::subarray::BankStats::default());
+        }
     }
 
     fn small_cnn() -> CompiledNetwork {

@@ -99,7 +99,9 @@ pub enum Instruction {
         in_w: usize,
     },
     /// Copy a memory subarray into the bank buffer (private data ports, so
-    /// buffer accesses don't consume memory-subarray bandwidth).
+    /// buffer accesses don't consume memory-subarray bandwidth). No
+    /// instruction reads the buffer back, so the bank books the traffic and
+    /// keeps no copy.
     StoreBuffer {
         /// Source memory subarray.
         src_mem: usize,
@@ -121,81 +123,4 @@ pub enum Instruction {
         /// Morphable subarray index (must be in memory mode).
         subarray: usize,
     },
-}
-
-impl Instruction {
-    /// Short mnemonic for logging.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            Instruction::SetMode { .. } => "set_mode",
-            Instruction::Program { .. } => "program",
-            Instruction::ProgramTraining { .. } => "program_training",
-            Instruction::LoadMem { .. } => "load_mem",
-            Instruction::Compute { .. } => "compute",
-            Instruction::ComputeTransposed { .. } => "compute_t",
-            Instruction::MaxPool { .. } => "max_pool",
-            Instruction::StoreBuffer { .. } => "store_buffer",
-            Instruction::ReadMem { .. } => "read_mem",
-            Instruction::MemWrite { .. } => "mem_write",
-            Instruction::MemRead { .. } => "mem_read",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mnemonics_are_distinct() {
-        use std::collections::BTreeSet;
-        let weights = || Matrix::zeros(reram_tensor::Shape2::new(1, 1));
-        let all = [
-            Instruction::SetMode {
-                subarray: 0,
-                mode: SubarrayMode::Memory,
-            },
-            Instruction::Program {
-                subarray: 0,
-                weights: weights(),
-            },
-            Instruction::ProgramTraining {
-                subarray: 0,
-                weights: weights(),
-            },
-            Instruction::LoadMem {
-                mem: 0,
-                data: vec![],
-            },
-            Instruction::Compute {
-                subarray: 0,
-                src_mem: 0,
-                dst_mem: 1,
-                activation: None,
-            },
-            Instruction::ComputeTransposed {
-                subarray: 0,
-                src_mem: 0,
-                dst_mem: 1,
-            },
-            Instruction::MaxPool {
-                src_mem: 0,
-                dst_mem: 1,
-                c: 1,
-                k: 2,
-                stride: 2,
-                in_h: 2,
-                in_w: 2,
-            },
-            Instruction::StoreBuffer { src_mem: 0 },
-            Instruction::ReadMem { mem: 0 },
-            Instruction::MemWrite {
-                subarray: 0,
-                data: vec![],
-            },
-            Instruction::MemRead { subarray: 0 },
-        ];
-        let m: BTreeSet<&str> = all.iter().map(Instruction::mnemonic).collect();
-        assert_eq!(m.len(), 11, "one distinct mnemonic per Instruction variant");
-    }
 }

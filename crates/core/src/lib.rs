@@ -67,7 +67,7 @@ mod config;
 
 pub use accelerator::{AccelReport, PipeLayerAccelerator, ReGanAccelerator};
 pub use chip::{BankShape, ChipPlan, ChipPlanError};
-pub use compiler::{CompileError, CompiledNetwork, NetStage, TrainableMlp};
+pub use compiler::{CompileError, CompiledNetwork, NetStage};
 pub use config::AcceleratorConfig;
 pub use endurance::{EnduranceClass, EnduranceReport};
 pub use mapping::{LayerMapping, MappingError, MappingScheme, ReplicationPolicy};

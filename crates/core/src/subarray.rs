@@ -182,7 +182,6 @@ pub struct BankStats {
 pub struct Bank {
     morphable: Vec<MorphableSubarray>,
     memory: Vec<Vec<f32>>,
-    buffer: Vec<Vec<f32>>,
     stats: BankStats,
 }
 
@@ -200,7 +199,6 @@ impl Bank {
                 .map(|_| MorphableSubarray::new(config.clone()))
                 .collect(),
             memory: vec![Vec::new(); memory],
-            buffer: Vec::new(),
             stats: BankStats::default(),
         }
     }
@@ -208,11 +206,6 @@ impl Bank {
     /// Accumulated statistics.
     pub fn stats(&self) -> BankStats {
         self.stats
-    }
-
-    /// Buffered tensors (most recent last).
-    pub fn buffer(&self) -> &[Vec<f32>] {
-        &self.buffer
     }
 
     /// Direct access to a morphable subarray (e.g. for mode inspection).
@@ -317,10 +310,9 @@ impl Bank {
                 None
             }
             Instruction::StoreBuffer { src_mem } => {
-                let data = self.memory[src_mem].clone();
-                self.stats.buffer_traffic += data.len() as u64;
-                telemetry::record(Event::BufferWrite, data.len() as u64);
-                self.buffer.push(data);
+                let len = self.memory[src_mem].len() as u64;
+                self.stats.buffer_traffic += len;
+                telemetry::record(Event::BufferWrite, len);
                 None
             }
             Instruction::ReadMem { mem } => {
@@ -446,7 +438,6 @@ mod tests {
         assert_eq!(stats.mvms, 1);
         assert_eq!(stats.programs, 1);
         assert_eq!(stats.buffer_traffic, 2);
-        assert_eq!(bank.buffer().len(), 1);
     }
 
     #[test]

@@ -116,14 +116,17 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// Propagates the [`ServeError`] when a catalog model fails to lower
-    /// or the traffic model is degenerate — there is nothing to verify.
+    /// Returns the [`ServeError`] [`simulate`] would return for this config
+    /// and catalog — no chips, an empty catalog, a bad mix, degenerate
+    /// traffic, a zero `max_batch`, or a catalog model that fails to
+    /// lower: there is nothing to verify.
     #[must_use = "the returned violations are the verification result"]
     pub fn verify(
         &self,
         catalog: &[NetworkSpec],
         accel: &AcceleratorConfig,
     ) -> Result<Vec<Violation>, ServeError> {
+        self.arrivals(catalog)?;
         let plans = catalog
             .iter()
             .map(|net| ExecutionPlan::lower(net, accel))
@@ -136,6 +139,26 @@ impl ServeConfig {
             mix: self.mix.clone(),
         };
         Ok(verify_serve(&plans, &shape))
+    }
+
+    /// The setup checks [`simulate`] and [`ServeConfig::verify`] share,
+    /// run before any catalog model is lowered. Returns the arrival stream.
+    fn arrivals(&self, catalog: &[NetworkSpec]) -> Result<RequestStream, ServeError> {
+        if self.chips == 0 {
+            return Err(ServeError::NoChips);
+        }
+        if catalog.is_empty() {
+            return Err(ServeError::NoModels);
+        }
+        let mix = ModelMix::new(&self.mix)?;
+        if mix.models() != catalog.len() {
+            return Err(ServeError::BadMix);
+        }
+        let arrivals = RequestStream::new(&self.traffic, &mix, self.horizon_ns, self.seed)?;
+        if self.batcher.max_batch == 0 {
+            return Err(ServeError::BadBatcher);
+        }
+        Ok(arrivals)
     }
 }
 
@@ -369,12 +392,8 @@ pub fn simulate(
     catalog: &[NetworkSpec],
     accel: &AcceleratorConfig,
 ) -> Result<ServeReport, ServeError> {
+    let arrivals = config.arrivals(catalog)?;
     let cluster = Cluster::homogeneous(config.chips, catalog, accel)?;
-    let mix = ModelMix::new(&config.mix)?;
-    if mix.models() != catalog.len() {
-        return Err(ServeError::BadMix);
-    }
-    let arrivals = RequestStream::new(&config.traffic, &mix, config.horizon_ns, config.seed)?;
     let sim = ServeSim::new(
         cluster,
         config.batcher,
@@ -532,6 +551,38 @@ mod tests {
             arrival_ns,
         };
         let _ = sim.run([request(0, 500), request(1, 100)]);
+    }
+
+    #[test]
+    fn verify_rejects_what_simulate_rejects() {
+        let accel = AcceleratorConfig::default();
+        let mut cases: Vec<(ServeConfig, ServeError)> = [f64::INFINITY, -5.0, f64::NAN, 0.0]
+            .into_iter()
+            .map(|rate_rps| {
+                let mut cfg = config();
+                cfg.traffic = TrafficModel::Poisson { rate_rps };
+                (cfg, ServeError::BadTraffic)
+            })
+            .collect();
+        let mut cfg = config();
+        cfg.chips = 0;
+        cases.push((cfg, ServeError::NoChips));
+        for mix in [vec![1.0], vec![1e308, 1e308]] {
+            let mut cfg = config();
+            cfg.mix = mix;
+            cases.push((cfg, ServeError::BadMix));
+        }
+        let mut cfg = config();
+        cfg.batcher.max_batch = 0;
+        cases.push((cfg, ServeError::BadBatcher));
+        for (cfg, want) in &cases {
+            let simulated = simulate(cfg, &catalog(), &accel).unwrap_err();
+            assert_eq!(&simulated, want, "{cfg:?}");
+            assert_eq!(cfg.verify(&catalog(), &accel).unwrap_err(), simulated);
+        }
+        let empty = config().verify(&[], &accel).unwrap_err();
+        assert_eq!(empty, ServeError::NoModels);
+        assert_eq!(simulate(&config(), &[], &accel).unwrap_err(), empty);
     }
 
     #[test]

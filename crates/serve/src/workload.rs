@@ -38,14 +38,14 @@ impl ModelMix {
     /// # Errors
     ///
     /// Returns [`ServeError::BadMix`] when `weights` is empty, contains a
-    /// negative or non-finite weight, or sums to zero.
+    /// negative or non-finite weight, or sums to zero or past `f64::MAX`.
     #[must_use = "the built mix is the result"]
     pub fn new(weights: &[f64]) -> Result<Self, ServeError> {
         if weights.is_empty() || weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
             return Err(ServeError::BadMix);
         }
         let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
+        if !(total > 0.0 && total.is_finite()) {
             return Err(ServeError::BadMix);
         }
         let mut acc = 0.0;
@@ -543,5 +543,9 @@ mod tests {
         assert_eq!(ModelMix::new(&[]).unwrap_err(), ServeError::BadMix);
         assert_eq!(ModelMix::new(&[0.0, 0.0]).unwrap_err(), ServeError::BadMix);
         assert_eq!(ModelMix::new(&[1.0, -1.0]).unwrap_err(), ServeError::BadMix);
+        assert_eq!(
+            ModelMix::new(&[1e308, 1e308]).unwrap_err(),
+            ServeError::BadMix
+        );
     }
 }

@@ -16,7 +16,7 @@
     reason = "an example aborts with a message on a setup error; that is its error path"
 )]
 
-use reram_core::compiler::{CompiledNetwork, NetStage, TrainableMlp};
+use reram_core::compiler::{CompiledNetwork, NetStage};
 use reram_core::isa::{Instruction, SubarrayMode};
 use reram_core::subarray::Bank;
 use reram_crossbar::CrossbarConfig;
@@ -45,7 +45,7 @@ fn main() {
             mode: SubarrayMode::Compute,
         },
     ];
-    for (i, x) in inputs.iter().enumerate() {
+    for x in &inputs {
         program.push(Instruction::LoadMem {
             mem: 0,
             data: x.clone(),
@@ -58,7 +58,6 @@ fn main() {
         });
         program.push(Instruction::StoreBuffer { src_mem: 1 });
         program.push(Instruction::ReadMem { mem: 1 });
-        let _ = i;
     }
     // Morph back to memory mode and use the same subarray as storage.
     program.push(Instruction::SetMode {
@@ -136,20 +135,21 @@ fn main() {
     // run as instructions (the transposed grid serves the backward pass),
     // with ProgramTraining write-backs as the weight-update cycles.
     println!("\n-- bank-level training (MSE regression) --");
-    let mut trainee = TrainableMlp::compile(
+    let mut trainee = CompiledNetwork::compile(
+        (4, 1, 1),
         vec![
-            (
-                Matrix::from_fn(Shape2::new(6, 4), |r, c| {
+            NetStage::Fc {
+                weights: Matrix::from_fn(Shape2::new(6, 4), |r, c| {
                     (((r * 7 + c * 5) % 11) as f32 - 5.0) / 10.0
                 }),
-                true,
-            ),
-            (
-                Matrix::from_fn(Shape2::new(2, 6), |r, c| {
+                activation: Some(Activation::Relu),
+            },
+            NetStage::Fc {
+                weights: Matrix::from_fn(Shape2::new(2, 6), |r, c| {
                     (((r * 3 + c * 7 + 1) % 11) as f32 - 5.0) / 10.0
                 }),
-                false,
-            ),
+                activation: None,
+            },
         ],
         &CrossbarConfig::default(),
     )
@@ -157,7 +157,9 @@ fn main() {
     let x = [0.4f32, -0.2, 0.1, 0.3];
     let target = [0.5f32, -0.25];
     for step in 0..20 {
-        let loss = trainee.train_step(&x, &target, 0.2);
+        let loss = trainee
+            .train_step(&x, &target, 0.2)
+            .expect("an FC/ReLU stack trains on the bank");
         if step % 5 == 0 || step == 19 {
             println!("  step {step:>2}: loss {loss:.5}");
         }

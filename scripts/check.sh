@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Checks for the first-party crates: formatting, lints, their own tests,
-# and a compile-only build of the benchmark package.
+# Checks for the first-party crates: formatting, lints, the fast examples,
+# their own tests, and a compile-only build of the benchmark package.
 #
 # Offline-tolerant: runs with --offline against the in-repo vendor/ crates.
 # rustfmt and rustdoc are skipped with a notice when their rustup component
@@ -54,6 +54,16 @@ fi
 
 echo "== cargo build --examples =="
 cargo build --offline -q --examples || status=1
+
+# Run the examples that finish in about a second in a debug build. Left
+# out: gan_training_regan (~20 s) and noise_study (~105 s even in release).
+echo "== cargo run --example (fast examples) =="
+for example in bank_program execution_plan quickstart serve_cluster train_mnist_pipelayer; do
+    if ! cargo run --offline -q --example "$example" >/dev/null; then
+        echo "example $example failed"
+        status=1
+    fi
+done
 
 echo "== cargo test (first-party crates) =="
 pkg_flags=()

@@ -361,3 +361,106 @@ fn ideal_compiled_network_is_pinned() {
         [470, 7520, 7520, 120320, 4096, 2, 0, 0, 0, 0, 0, 0, 0]
     );
 }
+
+/// What 20 bank-level SGD steps on the 4 → 6 (ReLU) → 2 MLP produce.
+#[derive(Debug, PartialEq, Eq)]
+struct BankTrainRun {
+    /// Loss bits before each step's update.
+    losses: Vec<u32>,
+    /// Bank `forward` output bits after the last step.
+    output: Vec<u32>,
+    stats: BankStats,
+    /// Telemetry tallies of the whole run, in `Event::ALL` order.
+    counts: [u64; EVENT_COUNT],
+}
+
+#[expect(
+    clippy::expect_used,
+    reason = "a golden helper aborts on a compile error; the calling test reports it"
+)]
+fn bank_train_run(config: &CrossbarConfig) -> BankTrainRun {
+    let w0 = Matrix::from_fn(Shape2::new(6, 4), |r, c| {
+        (((r * 7 + c * 5) % 11) as f32 - 5.0) / 10.0
+    });
+    let w1 = Matrix::from_fn(Shape2::new(2, 6), |r, c| {
+        (((r * 3 + c * 7 + 1) % 11) as f32 - 5.0) / 10.0
+    });
+    let x = [0.4f32, -0.2, 0.1, 0.3];
+    let target = [0.5f32, -0.25];
+    let stages = vec![
+        NetStage::Fc {
+            weights: w0,
+            activation: Some(Activation::Relu),
+        },
+        NetStage::Fc {
+            weights: w1,
+            activation: None,
+        },
+    ];
+    let ((losses, output, stats), counts) = counted(|| {
+        let mut net = CompiledNetwork::compile((4, 1, 1), stages, config).expect("compiles");
+        let losses: Vec<u32> = (0..20)
+            .map(|_| {
+                let loss = net.train_step(&x, &target, 0.2).expect("trainable");
+                loss.to_bits()
+            })
+            .collect();
+        let output = bits(&net.forward(&x));
+        (losses, output, net.stats())
+    });
+    BankTrainRun {
+        losses,
+        output,
+        stats,
+        counts,
+    }
+}
+
+#[test]
+fn bank_training_steps_are_pinned() {
+    // 20 steps of MSE regression on the bank, ideal 128×128 arrays: the
+    // forward and the transposed grid of each layer fit one array.
+    let got = bank_train_run(&CrossbarConfig::default());
+    let want = BankTrainRun {
+        losses: vec![
+            0x3e5008f8, 0x3e3ce199, 0x3e2c3839, 0x3e1d6443, 0x3e0feec2, 0x3e038726, 0x3defe9c5,
+            0x3dda20fd, 0x3dc58922, 0x3db20238, 0x3d9f846a, 0x3d8e0bce, 0x3d7b3f42, 0x3d5c988e,
+            0x3d4032b0, 0x3d261e24, 0x3d0e6fc6, 0x3cf2454e, 0x3ccc565d, 0x3cab00f8,
+        ],
+        output: vec![0x3eaffcc3, 0xbe185c54],
+        stats: BankStats {
+            instructions: 268,
+            mvms: 62,
+            mem_traffic: 1184,
+            buffer_traffic: 0,
+            programs: 84,
+        },
+        counts: [206, 3296, 26368, 421888, 2883584, 2, 0, 0, 80, 0, 0, 0, 0],
+    };
+    assert_eq!(got, want);
+
+    // The same run on noisy, faulty 8×8 arrays: every ProgramTraining
+    // rewrite draws fresh write variation on both grids.
+    let noisy = CrossbarConfig::default()
+        .with_array_size(8, 8)
+        .with_noise(0.03, 0.02, 13)
+        .with_faults(0.01, 0.01, 13);
+    let got = bank_train_run(&noisy);
+    let want = BankTrainRun {
+        losses: vec![
+            0x3e4f3c4c, 0x3e3c66fc, 0x3e2be269, 0x3e1d4d4a, 0x3e0e3a61, 0x3e020033, 0x3ded2ccc,
+            0x3dd7e294, 0x3dc38868, 0x3db03e50, 0x3d9df6b4, 0x3d8c8237, 0x3d78a134, 0x3d5a0ba2,
+            0x3d3dbf92, 0x3d2429cc, 0x3d0c975d, 0x3ceedab6, 0x3cc9e06f, 0x3ca8c0f1,
+        ],
+        output: vec![0x3eb080b6, 0xbe194853],
+        stats: BankStats {
+            instructions: 268,
+            mvms: 62,
+            mem_traffic: 1184,
+            buffer_traffic: 0,
+            programs: 84,
+        },
+        counts: [534, 8544, 4272, 68352, 25344, 2, 0, 0, 80, 0, 0, 0, 0],
+    };
+    assert_eq!(got, want);
+}
