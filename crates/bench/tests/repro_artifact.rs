@@ -1,7 +1,8 @@
 //! The committed `repro_output.txt` is the stdout of a full default `repro`
-//! run. Its noisy-ablation rows depend on every seeded device draw, so this
-//! test is the broadest check that a refactor keeps the RNG order: a change
-//! that moves any row must regenerate the artifact in the same change.
+//! run. Its noisy-ablation rows depend on every keyed device draw, so this
+//! test is the broadest check that a refactor keeps the device noise model:
+//! a change that moves any row must regenerate the artifact in the same
+//! change.
 //!
 //! The `--json` run report is pinned as a shape instead: two runs of the
 //! same tree write the same bytes once the measured `wall_ns` span times

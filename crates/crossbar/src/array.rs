@@ -28,12 +28,16 @@ pub struct CrossbarArray {
     /// Per-cell stuck level (`None` = healthy).
     stuck: Vec<Option<u32>>,
     device: ReramDeviceModel,
+    /// Bitlines `0..mapped_cols` carry weights; the kernel sums and senses
+    /// only these.
+    mapped_cols: usize,
     mvm_count: u64,
     spike_count: u64,
 }
 
 impl CrossbarArray {
-    /// Creates an array with all cells programmed to level 0.
+    /// Creates an array with all cells programmed to level 0, every
+    /// bitline mapped.
     pub fn new(config: &CrossbarConfig) -> Self {
         let mut device = ReramDeviceModel::new(
             config.cell_bits,
@@ -43,8 +47,8 @@ impl CrossbarArray {
         );
         let max_level = device.max_level();
         let stuck: Vec<Option<u32>> = if config.stuck_off_rate > 0.0 || config.stuck_on_rate > 0.0 {
-            // Distinct RNG stream from the variation RNG so enabling
-            // faults does not perturb the variation draws.
+            // Drawn once, from an RNG of their own: the variation and read
+            // draws are keyed by event and never touch it.
             let mut rng =
                 StdRng::seed_from_u64(config.noise_seed.wrapping_mul(0x51_7c_c1_b7_27_22_0a_95));
             (0..config.rows * config.cols)
@@ -62,19 +66,32 @@ impl CrossbarArray {
         } else {
             vec![None; config.rows * config.cols]
         };
-        let cells = stuck
-            .iter()
-            .map(|s| device.program(s.unwrap_or(0)))
-            .collect();
+        let mut cells = vec![ReramCell::default(); stuck.len()];
+        for (i, (cell, s)) in cells.iter_mut().zip(&stuck).enumerate() {
+            device.program(cell, i, s.unwrap_or(0));
+        }
         Self {
             rows: config.rows,
             cols: config.cols,
             cells,
             stuck,
             device,
+            mapped_cols: config.cols,
             mvm_count: 0,
             spike_count: 0,
         }
+    }
+
+    /// The same array with only bitlines `0..cols` mapped: `mvm_codes`
+    /// neither sums nor senses the others, and reports 0 for them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` exceeds the array's bitlines.
+    pub(crate) fn with_mapped_cols(mut self, cols: usize) -> Self {
+        assert!(cols <= self.cols, "{cols} mapped bitlines of {}", self.cols);
+        self.mapped_cols = cols;
+        self
     }
 
     /// Number of stuck (faulty) cells in this array.
@@ -107,11 +124,10 @@ impl CrossbarArray {
             self.rows,
             self.cols
         );
-        self.cells = levels
-            .iter()
-            .zip(&self.stuck)
-            .map(|(&l, s)| self.device.program(s.unwrap_or(l)))
-            .collect();
+        let cells = self.cells.iter_mut().zip(levels).zip(&self.stuck);
+        for (i, ((cell, &l), s)) in cells.enumerate() {
+            self.device.program(cell, i, s.unwrap_or(l));
+        }
     }
 
     /// Programs a single cell (used by in-place weight updates).
@@ -126,7 +142,7 @@ impl CrossbarArray {
         );
         let i = row * self.cols + col;
         let effective = self.stuck[i].unwrap_or(level);
-        self.cells[i] = self.device.program(effective);
+        self.device.program(&mut self.cells[i], i, effective);
     }
 
     /// The digital level currently programmed at `(row, col)`.
@@ -148,19 +164,23 @@ impl CrossbarArray {
     /// `codes` holds one unsigned input code per driven wordline; wordlines
     /// past `codes.len()` stay idle. Frame `t` of `input_bits` fires every
     /// wordline whose code has bit `t` set and sums the active cells'
-    /// conductances on each bitline. The device adds the frame's read
-    /// noise, I&F converts each current to a spike count, and the counts
-    /// merge with weight `2^t`. Returns one count per bitline:
-    /// `y_c = Σ_t 2^t · IF(Σ_r g[r][c] · bit_t(x_r))`.
+    /// conductances on each mapped bitline. The device adds the frame's
+    /// read noise (keyed by this call's index, the frame and the bitline),
+    /// I&F converts each current to a spike count, and the counts merge
+    /// with weight `2^t`. Returns one count per bitline:
+    /// `y_c = Σ_t 2^t · IF(Σ_r g[r][c] · bit_t(x_r) + noise)`, and 0 on
+    /// bitlines that are not mapped.
     ///
     /// # Panics
     ///
     /// Panics if there are more codes than rows or a code exceeds
     /// `input_bits`.
     pub fn mvm_codes(&mut self, codes: &[u64], input_bits: u32) -> Vec<u64> {
+        let call = self.mvm_count;
         self.record_mvm(codes, input_bits);
+        let mapped = self.mapped_cols;
         let mut acc = vec![0u64; self.cols];
-        let mut currents = vec![0.0f64; self.cols];
+        let mut currents = vec![0.0f64; mapped];
         for t in 0..input_bits {
             currents.fill(0.0);
             for (row, &code) in self.cells.chunks_exact(self.cols).zip(codes) {
@@ -170,7 +190,7 @@ impl CrossbarArray {
                     }
                 }
             }
-            self.device.add_read_noise(&mut currents);
+            self.device.add_read_noise(call, t, &mut currents);
             for (a, &cur) in acc.iter_mut().zip(&currents) {
                 *a += integrate_fire(cur) * (1 << t);
             }
@@ -343,8 +363,8 @@ mod tests {
     }
 
     /// Two calls of `codes` on a fresh, programmed array: both outputs (the
-    /// second from wherever the first left the RNG), the MVM and spike
-    /// counts, and the telemetry tallies.
+    /// second keyed by the next call index), the MVM and spike counts, and
+    /// the telemetry tallies.
     fn twice(cfg: &CrossbarConfig, codes: &[u64]) -> (Vec<Vec<u64>>, u64, u64, [u64; EVENT_COUNT]) {
         let mut a = CrossbarArray::new(cfg);
         a.program(&(0..16).collect::<Vec<u32>>());
@@ -360,6 +380,45 @@ mod tests {
         for cfg in [small_config(), noisy_faulty] {
             assert_eq!(twice(&cfg, &[5, 12]), twice(&cfg, &[5, 12, 0, 0]));
         }
+    }
+
+    #[test]
+    fn mapped_bitlines_read_what_the_full_array_reads() {
+        // Sensing fewer bitlines skips their draws and nothing else: every
+        // mapped count of every call, and every count booked, is the full
+        // array's.
+        let cfg = small_config()
+            .with_noise(0.3, 0.4, 3)
+            .with_faults(0.1, 0.1, 3);
+        let mut full = CrossbarArray::new(&cfg);
+        full.program(&(0..16).map(|l| l % 7 + 4).collect::<Vec<u32>>());
+        for mapped in 0..=4 {
+            let mut part = full.clone().with_mapped_cols(mapped);
+            let mut whole = full.clone();
+            for codes in [[9u64, 3, 14, 6], [15, 0, 1, 8], [9, 3, 14, 6]] {
+                let (y, counts) = counted(|| part.mvm_codes(&codes, 4));
+                let (want, want_counts) = counted(|| whole.mvm_codes(&codes, 4));
+                assert_eq!(y[..mapped], want[..mapped]);
+                assert!(y[mapped..].iter().all(|&v| v == 0));
+                assert_eq!(counts, want_counts);
+            }
+            assert_eq!(part.mvm_count(), whole.mvm_count());
+        }
+    }
+
+    #[test]
+    fn read_noise_moves_with_the_call_index() {
+        // Equal codes on equal cells read different noise in the next call,
+        // and a clone replays both calls bit for bit.
+        let cfg = small_config().with_noise(0.0, 0.4, 5);
+        let mut a = CrossbarArray::new(&cfg);
+        a.program(&[10; 16]);
+        let mut b = a.clone();
+        let first = a.mvm_codes(&[15; 4], 4);
+        let second = a.mvm_codes(&[15; 4], 4);
+        assert_ne!(first, second);
+        assert_eq!(b.mvm_codes(&[15; 4], 4), first);
+        assert_eq!(b.mvm_codes(&[15; 4], 4), second);
     }
 
     #[test]

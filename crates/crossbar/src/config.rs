@@ -31,7 +31,8 @@ pub struct CrossbarConfig {
     pub stuck_off_rate: f64,
     /// Fraction of cells stuck at the highest conductance (stuck-at-on).
     pub stuck_on_rate: f64,
-    /// RNG seed for device variation, so noisy experiments reproduce.
+    /// Seed of device variation, read noise and stuck-at faults, so noisy
+    /// experiments reproduce.
     pub noise_seed: u64,
 }
 

@@ -105,13 +105,20 @@ impl TiledMatrix {
             scratch: Scratch::default(),
             reprogram_count: 0,
         };
+        let slices = config.slices_per_weight();
         for i in 0..row_tiles * col_tiles {
+            // Column tile `ct` maps its weights' slices onto its first
+            // bitlines; the rest stay unmapped.
+            let ct = i % col_tiles;
+            let mapped = logical_cols.min(out_dim - ct * logical_cols) * slices;
             // Vary the noise seed per array so variations are independent.
-            let mut cfg = config.clone();
-            cfg.noise_seed = config.noise_seed.wrapping_add(2 * i as u64);
-            this.pos.push(CrossbarArray::new(&cfg));
-            cfg.noise_seed = config.noise_seed.wrapping_add(2 * i as u64 + 1);
-            this.neg.push(CrossbarArray::new(&cfg));
+            let array = |k: u64| {
+                let mut cfg = config.clone();
+                cfg.noise_seed = config.noise_seed.wrapping_add(2 * i as u64 + k);
+                CrossbarArray::new(&cfg).with_mapped_cols(mapped)
+            };
+            this.pos.push(array(0));
+            this.neg.push(array(1));
         }
         this.write_levels(w);
         this
@@ -259,8 +266,8 @@ impl TiledMatrix {
     /// every mapped weight, where `bitline` is the first of the weight's
     /// slice bitlines and `entry` its row-major index in the `out × in`
     /// matrix. Arrays come in grid order (`rt * col_tiles + ct`) and each
-    /// array's weights in row-major order — the order its device RNG draws
-    /// programming variation in.
+    /// array's weights in row-major order. Write variation is keyed by
+    /// cell and pulse, so the order moves no draw.
     fn for_each_weight(&self, mut visit: impl FnMut(usize, usize, usize, usize)) {
         let slices = self.config.slices_per_weight();
         let logical_cols = self.config.logical_cols();
@@ -702,6 +709,25 @@ mod tests {
         let yn = tn.matvec(&x);
         for (a, b) in yi.iter().zip(&yn) {
             assert!((a - b).abs() < 0.5, "ideal {a} vs noisy {b}");
+        }
+    }
+
+    #[test]
+    fn noisy_grid_bits_do_not_depend_on_array_call_order() {
+        // Swapping every differential pair makes each product call the
+        // former negative array of a pair first and merge it with the
+        // opposite sign. Each array still sees the same calls, so every
+        // output is the exact negation.
+        let cfg = test_config()
+            .with_noise(0.05, 0.05, 4)
+            .with_faults(0.02, 0.02, 4);
+        let mut grid = TiledMatrix::program(&pattern_matrix(20, 25), &cfg);
+        let mut swapped = grid.clone();
+        std::mem::swap(&mut swapped.pos, &mut swapped.neg);
+        for salt in 0..3 {
+            let x: Vec<f32> = pattern_vec(25 + salt).split_off(salt);
+            let negated: Vec<f32> = swapped.matvec(&x).iter().map(|v| -v).collect();
+            assert_eq!(grid.matvec(&x), negated);
         }
     }
 

@@ -56,7 +56,7 @@ echo "== cargo build --examples =="
 cargo build --offline -q --examples || status=1
 
 # Run the examples that finish in about a second in a debug build. Left
-# out: gan_training_regan (~20 s) and noise_study (~105 s even in release).
+# out: gan_training_regan (~20 s); noise_study runs below in release.
 echo "== cargo run --example (fast examples) =="
 for example in bank_program execution_plan quickstart serve_cluster train_mnist_pipelayer; do
     if ! cargo run --offline -q --example "$example" >/dev/null; then
@@ -64,6 +64,14 @@ for example in bank_program execution_plan quickstart serve_cluster train_mnist_
         status=1
     fi
 done
+
+# The device-noise sweep trains eight crossbar-backed classifiers on noisy
+# and faulty arrays: ~5 s in a release build.
+echo "== cargo run --release --example noise_study =="
+if ! cargo run --offline -q --release --example noise_study >/dev/null; then
+    echo "example noise_study failed"
+    status=1
+fi
 
 echo "== cargo test (first-party crates) =="
 pkg_flags=()
